@@ -14,19 +14,24 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cone import cone_dimension, full_representation, membership
+from .cone import (cone_dimension, coordinate_halfspace, full_representation,
+                   membership)
 from .errors import (EdgeListParseError, EnumerationGateError,
                      GraphRequirementError)
-from .facets import canonical_representation, face_dimension, facets, is_facet
-from .cone import coordinate_halfspace
+from .facets import canonical_representation, face_dimension, facets
 from .graph import DEFAULT_MAX_VERTICES, Graph, bipartite_component_count, parse_graph
 from .lattice import has_perfect_matching, integer_decompose
 from .oracle import cross_validate
-from .rational import rational_rank
 from .serialize import (decomposition_doc, facets_doc, graph_header,
                         matching_doc, membership_doc, parse_rational_vector,
                         report_doc, representation_doc)
-from .graph import edge_vectors
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)  # argparse reports it as an invalid value
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if vector_arg:
             p.add_argument("vector",
                            help="comma-separated exact rationals, e.g. 3/2,0,1")
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_VERTICES,
+        p.add_argument("--max-n", type=nonnegative_int, default=DEFAULT_MAX_VERTICES,
                        help="vertex gate for exponential enumerations")
         p.add_argument("--format", choices=("json", "plain"), default="json")
         p.add_argument("--oracle", action="store_true",
@@ -106,8 +111,9 @@ def _run_command(args) -> tuple[dict, int, str]:
 
     if args.command == "dim":
         dim = cone_dimension(g)
+        # the dimension is the rank of the incidence columns
         doc.update({"dimension": dim,
-                    "incidence_rank": rational_rank(edge_vectors(g)),
+                    "incidence_rank": dim,
                     "bipartite_components": bipartite_component_count(g)})
         summary = f"dimension {dim}"
     elif args.command == "repr":
@@ -122,11 +128,13 @@ def _run_command(args) -> tuple[dict, int, str]:
                    f"{len(rep.halfspaces)} irreducible halfspaces")
     elif args.command == "facets":
         facet_list = facets(g, args.max_n)
+        dim = cone_dimension(g)
         non_facet = []
         for v in range(g.vertex_count):
-            coord = coordinate_halfspace(g, v)
-            if not is_facet(g, coord):
-                non_facet.append((v, face_dimension(g, coord)))
+            face_dim = face_dimension(g, coordinate_halfspace(g, v))
+            # as in is_facet: cones of dimension at most 1 have no facet
+            if dim <= 1 or face_dim != dim - 1:
+                non_facet.append((v, face_dim))
         doc.update(facets_doc(facet_list, g, non_facet))
         summary = f"{len(facet_list)} facets"
     elif args.command == "member":

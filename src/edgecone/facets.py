@@ -3,11 +3,13 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs.  For a connected bipartite graph the facets admit a purely
-combinatorial characterization over independent subsets of one side,
-and the cone has a unique irreducible representation whose halfspaces
-are tagged by independent sets strictly inside side 1 plus coordinate
-halfspaces of side-2 vertices.
+graphs.  The rank is the edge-cone dimension of the subgraph those edges
+form, so no elimination runs here; only the oracle eliminates.  For a
+connected bipartite graph the facets admit a purely combinatorial
+characterization over independent subsets of one side, and the cone
+has a unique irreducible representation whose halfspaces are tagged by
+independent sets strictly inside side 1 plus coordinate halfspaces of
+side-2 vertices.
 
 Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
@@ -24,10 +26,8 @@ from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
                    IndependentSetTag, affine_hull, cone_dimension,
                    coordinate_halfspace, independent_set_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, edge_vectors,
-                    independent_sets, is_independent, neighbor_set,
-                    vertex_set)
-from .rational import dot, rational_rank
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, independent_sets,
+                    is_independent, neighbor_set, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,14 @@ def _plane_of(h: Hyperplane | Halfspace) -> Hyperplane:
 
 def _side_split(g: Graph, normal: Sequence[int]):
     """Classify edge vectors against a hyperplane: indices on it, and
-    whether any lie strictly on each open side."""
+    whether any lie strictly on each open side.  Edge ``(i, j)`` is the
+    sum of two unit vectors, so its value is ``normal[i] + normal[j]``."""
+    if len(normal) != g.vertex_count:
+        raise ValueError(f"dimension mismatch: {len(normal)} vs {g.vertex_count}")
     on = []
     has_pos = has_neg = False
-    for idx, vec in enumerate(edge_vectors(g)):
-        value = dot(normal, vec)
+    for idx, (i, j) in enumerate(g.edges):
+        value = normal[i] + normal[j]
         if value == 0:
             on.append(idx)
         elif value > 0:
@@ -56,6 +59,12 @@ def _side_split(g: Graph, normal: Sequence[int]):
         else:
             has_neg = True
     return tuple(on), has_pos, has_neg
+
+
+def _edge_rank(g: Graph, on: Sequence[int]) -> int:
+    """Rank of the edge vectors with indices ``on``: the edge-cone
+    dimension of the subgraph they form on ``g``'s vertices."""
+    return cone_dimension(Graph(g.vertices, tuple(g.edges[i] for i in on)))
 
 
 def _on_indices(g: Graph, h: Hyperplane | Halfspace) -> tuple[int, ...]:
@@ -71,9 +80,7 @@ def _on_indices(g: Graph, h: Hyperplane | Halfspace) -> tuple[int, ...]:
 def face_dimension(g: Graph, h: Hyperplane | Halfspace) -> int:
     """Dimension of the face cut by a supporting hyperplane: the rank of
     the edge vectors lying on it (the apex face has dimension 0)."""
-    on = _on_indices(g, h)
-    vectors = edge_vectors(g)
-    return rational_rank([vectors[i] for i in on])
+    return _edge_rank(g, _on_indices(g, h))
 
 
 def is_facet(g: Graph, h: Hyperplane | Halfspace) -> bool:
@@ -93,17 +100,17 @@ def _candidate_halfspaces(g: Graph, max_vertices: int):
         yield independent_set_halfspace(g, a)
 
 
-def _facet_groups(g: Graph, max_vertices: int) -> dict[tuple[int, ...], list[Halfspace]]:
-    """All facet-cutting candidate halfspaces, grouped by the facet's
-    generator set."""
+def _facet_groups(g: Graph, candidates: Iterable[Halfspace]
+                  ) -> dict[tuple[int, ...], list[Halfspace]]:
+    """The facet-cutting halfspaces among ``candidates`` (not read when the
+    cone has dimension at most 1), grouped by the facet's generator set."""
     dim = cone_dimension(g)
     if dim <= 1:
         return {}
-    vectors = edge_vectors(g)
     groups: dict[tuple[int, ...], list[Halfspace]] = {}
-    for h in _candidate_halfspaces(g, max_vertices):
+    for h in candidates:
         on, _, _ = _side_split(g, h.plane.normal)
-        if rational_rank([vectors[i] for i in on]) == dim - 1:
+        if _edge_rank(g, on) == dim - 1:
             groups.setdefault(on, []).append(h)
     return groups
 
@@ -125,7 +132,8 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     facets by index, then set-tagged facets lexicographically.
     """
     result = []
-    for on, candidates in _facet_groups(g, max_vertices).items():
+    groups = _facet_groups(g, _candidate_halfspaces(g, max_vertices))
+    for on, candidates in groups.items():
         chosen = min(candidates, key=_tag_sort_key)
         result.append(Facet(chosen, on))
     result.sort(key=lambda f: _tag_sort_key(f.halfspace))
@@ -229,6 +237,26 @@ def _canonical_halfspace(g: Graph, candidates: list[Halfspace],
     return side1_sets[0]
 
 
+def _canonical(g: Graph, candidates: Iterable[Halfspace]) -> ConeRepresentation:
+    """Canonical representation of a connected bipartite graph from the
+    facets among ``candidates``.  Sets meeting both sides are skipped:
+    each is the sum of two one-sided ones and cuts no facet they miss."""
+    side1, side2 = g.bipartitions[0]
+    equations = affine_hull(g)
+    if cone_dimension(g) <= 1:
+        halfspaces = tuple(coordinate_halfspace(g, v) for v in side2)
+        return ConeRepresentation(equations, halfspaces, "canonical_bipartite")
+    set1, set2 = set(side1), set(side2)
+    one_sided = (h for h in candidates
+                 if not isinstance(h.plane.tag, IndependentSetTag)
+                 or set1.isdisjoint(h.plane.tag.vertices)
+                 or set2.isdisjoint(h.plane.tag.vertices))
+    chosen = [_canonical_halfspace(g, group, side1, side2)
+              for group in _facet_groups(g, one_sided).values()]
+    chosen.sort(key=_tag_sort_key)
+    return ConeRepresentation(equations, tuple(chosen), "canonical_bipartite")
+
+
 def canonical_representation(g: Graph,
                              max_vertices: int = DEFAULT_MAX_VERTICES) -> ConeRepresentation:
     """The unique irreducible representation of a connected bipartite
@@ -240,18 +268,11 @@ def canonical_representation(g: Graph,
     representation then carries the coordinate halfspaces that carve the
     ray out of its affine hull.
     """
-    side1, side2 = _sides(g)
+    _sides(g)
     if not g.edges:
         raise GraphRequirementError(
             "canonical representation requires at least one edge")
-    equations = affine_hull(g)
-    if cone_dimension(g) <= 1:
-        halfspaces = tuple(coordinate_halfspace(g, v) for v in side2)
-        return ConeRepresentation(equations, halfspaces, "canonical_bipartite")
-    chosen = [_canonical_halfspace(g, group, side1, side2)
-              for group in _facet_groups(g, max_vertices).values()]
-    chosen.sort(key=_tag_sort_key)
-    return ConeRepresentation(equations, tuple(chosen), "canonical_bipartite")
+    return _canonical(g, _candidate_halfspaces(g, max_vertices))
 
 
 def remove_redundant(g: Graph, rep: ConeRepresentation,
@@ -264,27 +285,7 @@ def remove_redundant(g: Graph, rep: ConeRepresentation,
     halfspace failing the facet rank criterion, merges halfspaces that
     cut the same facet, and re-tags each facet canonically.
     """
-    side1, side2 = _sides(g)
+    _sides(g)
     if rep.kind != "full":
         raise ValueError(f"expected a full representation, got kind={rep.kind!r}")
-    equations = affine_hull(g)
-    dim = cone_dimension(g)
-    if dim <= 1:
-        halfspaces = tuple(coordinate_halfspace(g, v) for v in side2)
-        return ConeRepresentation(equations, halfspaces, "canonical_bipartite")
-    vectors = edge_vectors(g)
-    groups: dict[tuple[int, ...], list[Halfspace]] = {}
-    for h in rep.halfspaces:
-        tag = h.plane.tag
-        if isinstance(tag, IndependentSetTag):
-            members = set(tag.vertices)
-            if members & set(side1) and members & set(side2):
-                continue
-        on, _, _ = _side_split(g, h.plane.normal)
-        if rational_rank([vectors[i] for i in on]) != dim - 1:
-            continue
-        groups.setdefault(on, []).append(h)
-    chosen = [_canonical_halfspace(g, group, side1, side2)
-              for group in groups.values()]
-    chosen.sort(key=_tag_sort_key)
-    return ConeRepresentation(equations, tuple(chosen), "canonical_bipartite")
+    return _canonical(g, rep.halfspaces)

@@ -1,7 +1,8 @@
 """Exact rational linear algebra on small dense matrices.
 
 Everything here works over ``int`` and ``fractions.Fraction`` only; no
-floating point is used anywhere in the package.
+floating point is used anywhere in the package.  The library computes
+ranks from graph combinatorics; elimination here serves the oracle.
 """
 
 from __future__ import annotations
@@ -127,15 +128,3 @@ def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[tuple[Frac
         basis.append(tuple(vec))
     return basis
 
-
-def reduce_against(vector: Sequence[Rational],
-                   reduced: Sequence[Sequence[Fraction]],
-                   pivots: Sequence[int]) -> tuple[Fraction, ...]:
-    """Canonical representative of ``vector`` modulo the row space of an
-    already-reduced matrix: entries at the pivot columns are eliminated."""
-    vec = [Fraction(c) for c in vector]
-    for row, piv in zip(reduced, pivots):
-        f = vec[piv]
-        if f:
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return tuple(vec)

@@ -32,10 +32,6 @@ def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"bad rational vector {text!r}: {exc}") from None
 
 
-def format_rational_vector(x: Sequence[Rational]) -> str:
-    return ",".join(str(Fraction(c)) for c in x)
-
-
 def vector_doc(x: Sequence[Rational]) -> list[str]:
     return [str(Fraction(c)) for c in x]
 

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from edgecone.cli import main
-from edgecone.serialize import format_rational_vector, parse_rational_vector
 
 TRIANGLE = "a b\nb c\nc a\n"
 K13 = "a\nb\nc\nd\na d\nb d\nc d\n"
@@ -70,8 +69,6 @@ def test_facets_star_reports_non_facet_center(graph_file, capsys):
 
 
 def test_member_round_trip(graph_file, capsys):
-    assert parse_rational_vector("3/2,0,1") == parse_rational_vector(
-        format_rational_vector(parse_rational_vector("3/2,0,1")))
     code, out, _ = run(capsys, "member", graph_file(TRIANGLE), "1/2,1/2,1/2")
     assert code == 0
     doc = json.loads(out)
@@ -153,6 +150,12 @@ def test_gate_override(graph_file, capsys):
     assert "exponential enumeration" in err
     code, out, _ = run(capsys, "repr", path, "--max-n", "7")
     assert code == 0
+
+
+def test_negative_gate_is_a_usage_error(graph_file, capsys):
+    code, _, err = run(capsys, "repr", graph_file(SINGLE), "--max-n", "-1")
+    assert code == 2
+    assert "--max-n" in err and "nonnegative" in err
 
 
 def test_output_deterministic_bytes(graph_file, capsys):

@@ -139,6 +139,17 @@ def test_membership_accepts_exact_decimal_and_fraction_strings():
     assert membership(TRIANGLE, x).is_member
 
 
+@pytest.mark.parametrize("inexact", [0.1, "1", True])
+def test_membership_rejects_inexact_coordinates(inexact):
+    with pytest.raises(ValueError, match="int or Fraction"):
+        membership(SINGLE, (inexact, inexact))
+
+
+def test_fm_membership_rejects_floats():
+    with pytest.raises(ValueError, match="int or Fraction"):
+        fm_membership(edge_vectors(SINGLE), (0.5, 0.5))
+
+
 def test_edge_vectors_and_combinations_are_members():
     rng = random.Random(5)
     for trial in range(12):

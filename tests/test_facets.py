@@ -5,16 +5,17 @@ import pytest
 from edgecone import (CoordinateTag, GraphRequirementError,
                       IndependentSetTag, NotSupportingHyperplaneError,
                       bipartite_facet_check, brute_force_facet_generator_sets,
-                      canonical_representation, cone_dimension,
-                      coordinate_halfspace, dual_facet, edge_vectors,
-                      face_dimension, facets, fm_membership,
+                      brute_force_facets, canonical_representation,
+                      cone_dimension, coordinate_halfspace, dual_facet,
+                      edge_vectors, face_dimension, facets, fm_membership,
                       full_representation, independent_set_halfspace,
                       independent_sets, is_facet, membership, neighbor_set,
-                      parse_graph, remove_redundant)
+                      parse_graph, rational_rank, remove_redundant)
 from edgecone.cone import Hyperplane
 from edgecone.facets import _induced_connected
+from edgecone.rational import dot
 from battery import (complete_bipartite, cycle, path,
-                     random_connected_bipartite, star)
+                     random_connected_bipartite, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)  # leaves 0,1,2 ; center 3
@@ -75,9 +76,31 @@ def test_facet_rank_invariant():
         dim = cone_dimension(g)
         vectors = edge_vectors(g)
         for f in facets(g):
-            from edgecone import rational_rank
             assert rational_rank([vectors[i] for i in f.generators_on]) == dim - 1
             assert all(f.halfspace.margin(v) >= 0 for v in vectors)
+    # the combinatorial face rank equals exact elimination on every
+    # candidate: coordinate and independent-set halfspaces over the whole
+    # battery, and the oracle's raw facet normals over its exhaustive
+    # part (every connected graph on <= 5 vertices; the oracle costs
+    # seconds per 7-vertex graph)
+    for g in standard_battery():
+        vectors = edge_vectors(g)
+        planes = [coordinate_halfspace(g, v).plane
+                  for v in range(g.vertex_count)]
+        planes += [independent_set_halfspace(g, a).plane
+                   for a in independent_sets(g)]
+        if g.vertex_count <= 5:
+            planes += brute_force_facets(vectors)
+        for plane in planes:
+            on = [v for v in vectors if dot(plane.normal, v) == 0]
+            assert face_dimension(g, plane) == rational_rank(on), (g.edges, plane)
+
+
+def test_face_dimension_rejects_wrong_length_normals():
+    with pytest.raises(ValueError, match="dimension"):
+        face_dimension(TRIANGLE, Hyperplane((1, -1)))
+    with pytest.raises(ValueError, match="dimension"):
+        face_dimension(TRIANGLE, Hyperplane((1, -1, 0, 0)))
 
 
 def test_bipartite_facet_check_c6():

@@ -23,19 +23,24 @@ def test_brute_force_facets_star():
 
 
 def test_brute_force_star_normals_equal_leaf_coordinates_modulo_hull():
-    from edgecone import affine_hull
-    from edgecone.rational import primitive, reduce_against, rref
-    reduced, pivots = rref([eq.normal for eq in affine_hull(K13)])
-    facet_sets = dict()
+    from edgecone import affine_hull, rational_rank
     from edgecone.oracle import _facet_data
-    for inward, on in _facet_data(edge_vectors(K13)):
-        facet_sets[frozenset(on)] = inward
+    from edgecone.rational import dot
+    hull = [eq.normal for eq in affine_hull(K13)]
+    vectors = edge_vectors(K13)
+    facet_normals = {frozenset(on): inward for inward, on in _facet_data(vectors)}
     for leaf in range(3):
         coordinate = tuple(1 if k == leaf else 0 for k in range(4))
-        on = frozenset(i for i in range(3) if i != leaf)
-        lhs = primitive(reduce_against(facet_sets[on], reduced, pivots))
-        rhs = primitive(reduce_against(coordinate, reduced, pivots))
-        assert lhs == rhs
+        inward = facet_normals[frozenset(i for i in range(3) if i != leaf)]
+        # neither normal lies in the hull's span and both span the same
+        # line modulo it: inward = h + c * coordinate with c != 0
+        assert (rational_rank(hull + [inward])
+                == rational_rank(hull + [coordinate])
+                == rational_rank(hull + [inward, coordinate])
+                == len(hull) + 1)
+        # hull normals vanish on every edge vector, so the leaf's own
+        # edge vector (coordinate value 1) has the sign of c
+        assert dot(inward, vectors[leaf]) > 0
 
 
 def test_brute_force_facets_ray_is_empty():

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from edgecone import rational_rank
-from edgecone.rational import (dot, is_primitive, nullspace, primitive,
-                               reduce_against, rref)
+from edgecone.rational import dot, is_primitive, nullspace, primitive, rref
 
 
 def test_rank_triangle_incidence_columns():
@@ -60,8 +59,3 @@ def test_rref_and_nullspace():
     for row in rows:
         assert dot(row, vec) == 0
 
-
-def test_reduce_against_kills_pivot_coordinates():
-    reduced, pivots = rref([(1, 1, -1)])
-    out = reduce_against((3, 0, 2), reduced, pivots)
-    assert out[pivots[0]] == 0
