@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("vector",
                            help="comma-separated exact rationals, e.g. 3/2,0,1")
         p.add_argument("--max-n", type=nonnegative_int, default=DEFAULT_MAX_VERTICES,
-                       help="vertex gate for exponential enumerations")
+                       help="vertex gate for repr, canonical, facets, validate "
+                            "and --oracle")
         p.add_argument("--format", choices=("json", "plain"), default="json")
         p.add_argument("--oracle", action="store_true",
                        help="also cross-validate against the brute-force oracle")
@@ -139,7 +140,7 @@ def _run_command(args) -> tuple[dict, int, str]:
         summary = f"{len(facet_list)} facets"
     elif args.command == "member":
         x = parse_rational_vector(args.vector)
-        result = membership(g, x, args.max_n)
+        result = membership(g, x)
         doc.update(membership_doc(x, result, g))
         summary = "member" if result else "not a member"
     elif args.command == "decompose":
@@ -149,11 +150,11 @@ def _run_command(args) -> tuple[dict, int, str]:
             if c.denominator != 1:
                 raise ValueError(f"decompose requires integer entries, got {c}")
             b.append(int(c))
-        result = integer_decompose(g, b, args.max_n)
+        result = integer_decompose(g, b)
         doc.update(decomposition_doc(b, result, g))
         summary = "decomposed" if result else "no decomposition"
     elif args.command == "matching":
-        result = has_perfect_matching(g, args.max_n)
+        result = has_perfect_matching(g)
         doc.update(matching_doc(result, g))
         summary = ("perfect matching found" if result
                    else "no perfect matching")

@@ -4,17 +4,18 @@ The edge cone of a graph is the cone spanned by its incidence column
 vectors.  It equals the set of vectors with nonnegative coordinates
 whose sum over any independent set ``A`` is at most the sum over the
 neighbor set of ``A``; the affine hull contributes one balance equation
-per bipartite component.  This module builds those constraint systems
-and evaluates them with exact rational arithmetic.  Dimensions come from
-graph combinatorics; exact elimination runs only in the oracle.
+per bipartite component.  This module builds those constraint systems;
+membership instead routes the point as a flow on the bipartite double
+cover (a fractional b-matching) in polynomial time.  Dimensions come
+from graph combinatorics; exact elimination runs only in the oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
@@ -172,12 +173,13 @@ def full_representation(g: Graph,
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Decision plus, on rejection, the first violated constraint in
-    deterministic order (coordinates by index, then independent sets by
-    size and lexicographic order, then affine equations)."""
+    """Decision plus, on rejection, a violated constraint: the coordinate
+    halfspace of the lowest-index negative coordinate, or else the
+    halfspace of a violated independent set from which no single vertex
+    can be dropped."""
 
     is_member: bool
-    violated: Halfspace | Hyperplane | None = None
+    violated: Halfspace | None = None
 
     def __bool__(self) -> bool:
         return self.is_member
@@ -195,36 +197,114 @@ def _clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
     return tuple(int(c * scale) for c in x)
 
 
-@lru_cache(maxsize=None)
-def _membership_constraints(g: Graph, max_vertices: int):
-    coords = tuple(coordinate_halfspace(g, v) for v in range(g.vertex_count))
-    sets = tuple(independent_set_halfspace(g, a)
-                 for a in independent_sets(g, max_vertices))
-    return coords, sets, affine_hull(g)
+class _MaxFlow:
+    """Edmonds-Karp with integer capacities; arcs scanned in insertion
+    order, so results are deterministic."""
+
+    def __init__(self, nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_arc(self, u: int, v: int, capacity: int):
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _search(self, source: int, sink: int) -> list[int]:
+        """Residual breadth-first search to the sink: each node's entry arc."""
+        parent_arc = [-1] * len(self.adj)
+        parent_arc[source] = -2
+        queue = deque([source])
+        while queue and parent_arc[sink] == -1:
+            u = queue.popleft()
+            for arc in self.adj[u]:
+                v = self.to[arc]
+                if self.cap[arc] > 0 and parent_arc[v] == -1:
+                    parent_arc[v] = arc
+                    queue.append(v)
+        return parent_arc
+
+    def run(self, source: int, sink: int) -> int:
+        total = 0
+        while True:
+            parent_arc = self._search(source, sink)
+            if parent_arc[sink] == -1:
+                return total
+            path = []
+            v = sink
+            while v != source:
+                path.append(parent_arc[v])
+                v = self.to[parent_arc[v] ^ 1]
+            bottleneck = min(self.cap[arc] for arc in path)
+            for arc in path:
+                self.cap[arc] -= bottleneck
+                self.cap[arc ^ 1] += bottleneck
+            total += bottleneck
+
+    def reachable(self, source: int, sink: int) -> list[bool]:
+        """After ``run``: the source side of a minimum cut."""
+        return [arc != -1 for arc in self._search(source, sink)]
 
 
-def membership(g: Graph, x: Sequence[Rational],
-               max_vertices: int = DEFAULT_MAX_VERTICES) -> MembershipResult:
-    """Exact edge-cone membership via the inequality system.
+def _hall_violator(g: Graph, point: Sequence[int]) -> VertexSet | None:
+    """None when the nonnegative integer ``point`` is in the cone, else a
+    violated independent set from which no single vertex can be dropped.
+
+    ``point`` is in the cone iff ``(point, point)`` routes as a flow on
+    the bipartite double cover: arcs ``source -> v``, ``v' -> sink`` of
+    capacity ``point[v]`` and uncapped ``v -> w'``, ``w -> v'`` per edge
+    ``vw``.  A short flow leaves reachable left vertices ``S`` with
+    ``point(S) > point(N(S))``; those outside ``N(S)`` are independent,
+    have no neighbor in ``S`` and so keep that surplus.  Passes from the
+    highest index down then drop vertices while the rest stays violated.
+    """
+    n = g.vertex_count
+    total = sum(point)
+    source, sink = 2 * n, 2 * n + 1
+    flow = _MaxFlow(2 * n + 2)
+    for v in range(n):
+        flow.add_arc(source, v, point[v])
+        flow.add_arc(n + v, sink, point[v])
+    for i, j in g.edges:
+        flow.add_arc(i, n + j, total)
+        flow.add_arc(j, n + i, total)
+    if flow.run(source, sink) == total:
+        return None
+    reached = [v for v, hit in enumerate(flow.reachable(source, sink)[:n]) if hit]
+    members = sorted(set(reached) - set(neighbor_set(g, reached)))
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in sorted(members, reverse=True):
+            rest = [u for u in members if u != v]
+            neighbors = neighbor_set(g, rest)
+            if sum(point[u] for u in rest) > sum(point[u] for u in neighbors):
+                members, shrinking = rest, True
+    return tuple(members)
+
+
+def membership(g: Graph, x: Sequence[Rational]) -> MembershipResult:
+    """Exact edge-cone membership by one maximum flow.
 
     ``x`` belongs to the cone iff every coordinate is nonnegative and,
     for every independent set, the set's coordinate sum is at most its
-    neighbor set's.  The affine-hull equations are implied by the
-    independent-set inequalities (take both sides of each bipartite
-    component); they are checked explicitly as well.
+    neighbor set's; those inequalities imply the affine-hull equations
+    (take both sides of each bipartite component).  A rejection carries
+    the lowest-index negative coordinate or a violated independent set
+    from which no single vertex can be dropped.
     """
     if len(x) != g.vertex_count:
         raise ValueError(
             f"vector has dimension {len(x)}, graph has {g.vertex_count} vertices")
     point = _clear_denominators(x)
-    coords, sets, equations = _membership_constraints(g, max_vertices)
-    for h in coords:
-        if point[h.plane.tag.vertex] < 0:
-            return MembershipResult(False, h)
-    for h in sets:
-        if h.margin(point) < 0:
-            return MembershipResult(False, h)
-    for eq in equations:
-        if dot(eq.normal, point) != 0:
-            return MembershipResult(False, eq)
-    return MembershipResult(True)
+    for v, c in enumerate(point):
+        if c < 0:
+            return MembershipResult(False, coordinate_halfspace(g, v))
+    violator = _hall_violator(g, point)
+    if violator is None:
+        return MembershipResult(True)
+    return MembershipResult(False, independent_set_halfspace(g, violator))

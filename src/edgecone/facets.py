@@ -62,9 +62,27 @@ def _side_split(g: Graph, normal: Sequence[int]):
 
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
-    """Rank of the edge vectors with indices ``on``: the edge-cone
-    dimension of the subgraph they form on ``g``'s vertices."""
-    return cone_dimension(Graph(g.vertices, tuple(g.edges[i] for i in on)))
+    """Rank of the edge vectors with indices ``on``: the vertices they
+    touch minus the bipartite components of the subgraph they form, by a
+    union-find that keeps each vertex's colour relative to its parent."""
+    parent: dict[int, tuple[int, int]] = {}
+    odd = []  # a vertex of each component where an edge closed an odd cycle
+
+    def find(v: int) -> tuple[int, int]:
+        colour = 0
+        while parent.setdefault(v, (v, 0))[0] != v:
+            v, c = parent[v]
+            colour ^= c
+        return v, colour
+
+    for idx in on:
+        (ri, ci), (rj, cj) = map(find, g.edges[idx])
+        if ri != rj:
+            parent[rj] = (ri, ci ^ cj ^ 1)
+        elif ci == cj:
+            odd.append(ri)
+    bipartite = {find(v)[0] for v in parent} - {find(v)[0] for v in odd}
+    return len(parent) - len(bipartite)
 
 
 def _on_indices(g: Graph, h: Hyperplane | Halfspace) -> tuple[int, ...]:

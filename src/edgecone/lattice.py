@@ -11,13 +11,11 @@ question.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .cone import Halfspace, Hyperplane, membership
+from .cone import Halfspace, _MaxFlow, membership
 from .errors import GraphRequirementError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
-                    independent_sets, neighbor_set)
+from .graph import Graph, VertexSet
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class EdgeDecomposition:
 @dataclass(frozen=True)
 class DecompositionResult:
     decomposition: EdgeDecomposition | None = None
-    violated: Halfspace | Hyperplane | None = None
+    violated: Halfspace | None = None
 
     def __bool__(self) -> bool:
         return self.decomposition is not None
@@ -74,54 +72,6 @@ def _require_integers(b):
 def _require_bipartite(g: Graph, what: str):
     if not g.is_bipartite():
         raise GraphRequirementError(f"{what} requires a bipartite graph")
-
-
-class _MaxFlow:
-    """Edmonds-Karp with integer capacities; arcs scanned in insertion
-    order, so results are deterministic."""
-
-    def __init__(self, nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, capacity: int):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def run(self, source: int, sink: int) -> int:
-        total = 0
-        while True:
-            parent_arc = [-1] * len(self.adj)
-            parent_arc[source] = -2
-            queue = deque([source])
-            while queue and parent_arc[sink] == -1:
-                u = queue.popleft()
-                for arc in self.adj[u]:
-                    v = self.to[arc]
-                    if self.cap[arc] > 0 and parent_arc[v] == -1:
-                        parent_arc[v] = arc
-                        queue.append(v)
-            if parent_arc[sink] == -1:
-                return total
-            bottleneck = None
-            v = sink
-            while v != source:
-                arc = parent_arc[v]
-                if bottleneck is None or self.cap[arc] < bottleneck:
-                    bottleneck = self.cap[arc]
-                v = self.to[arc ^ 1]
-            v = sink
-            while v != source:
-                arc = parent_arc[v]
-                self.cap[arc] -= bottleneck
-                self.cap[arc ^ 1] += bottleneck
-                v = self.to[arc ^ 1]
-            total += bottleneck
 
 
 def _transshipment(g: Graph, b) -> dict[int, int] | None:
@@ -157,16 +107,14 @@ def _transshipment(g: Graph, b) -> dict[int, int] | None:
     return result
 
 
-def integer_decompose(g: Graph, b,
-                      max_vertices: int = DEFAULT_MAX_VERTICES) -> DecompositionResult:
+def integer_decompose(g: Graph, b) -> DecompositionResult:
     """Write an integer vector as a nonnegative integer combination of
     edge vectors, or certify that none exists.
 
     Total unimodularity guarantees a decomposition for every integer
-    vector in the cone, so infeasibility always comes with the first
-    violated membership constraint as proof of absence.  The vertex gate
-    applies only to that certificate search; decompositions themselves
-    are found in polynomial time.
+    vector in the cone, so infeasibility always comes with the
+    certificate ``membership`` gives: a negative coordinate or a violated
+    independent set.  Both searches take polynomial time.
     """
     _require_bipartite(g, "integer decomposition")
     _require_integers(b)
@@ -178,7 +126,7 @@ def integer_decompose(g: Graph, b,
         if multiplicities is not None:
             return DecompositionResult(
                 EdgeDecomposition(tuple(sorted(multiplicities.items()))))
-    verdict = membership(g, b, max_vertices)
+    verdict = membership(g, b)
     if verdict.is_member:
         raise AssertionError(
             "membership accepted an integer vector the integral flow "
@@ -186,18 +134,19 @@ def integer_decompose(g: Graph, b,
     return DecompositionResult(violated=verdict.violated)
 
 
-def has_perfect_matching(g: Graph,
-                         max_vertices: int = DEFAULT_MAX_VERTICES) -> MatchingResult:
+def has_perfect_matching(g: Graph) -> MatchingResult:
     """Decide the marriage problem with a certificate either way.
 
     A bipartite graph has a perfect matching iff the all-ones vector
     lies in its edge cone, i.e. iff every independent set is at most as
     large as its neighbor set.  Positive answers carry a matching;
-    negative ones carry the smallest-first violating independent set.
+    negative ones carry the violated independent set ``membership``
+    finds for the all-ones vector, from which no single vertex can be
+    dropped.
     """
     _require_bipartite(g, "perfect matching decision")
     ones = (1,) * g.vertex_count
-    result = integer_decompose(g, ones, max_vertices)
+    result = integer_decompose(g, ones)
     if result:
         matching = []
         for edge_index, count in result.decomposition.multiplicities:
@@ -207,9 +156,4 @@ def has_perfect_matching(g: Graph,
                     f"{count} times")
             matching.append(edge_index)
         return MatchingResult(True, matching=tuple(matching))
-    for a in independent_sets(g, max_vertices):
-        if len(a) > len(neighbor_set(g, a)):
-            return MatchingResult(False, violator=a)
-    raise AssertionError(
-        "all-ones vector rejected but no independent set violates the "
-        "marriage condition")
+    return MatchingResult(False, violator=result.violated.plane.tag.vertices)

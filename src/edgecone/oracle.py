@@ -271,8 +271,8 @@ def cross_validate(g: Graph, combinations: int = 25, random_points: int = 25,
     """Run both computation paths against each other on one graph.
 
     Checks that (1) the rank-criterion facets and the brute-force facets
-    coincide as generator sets, (2) the inequality-system membership and
-    the Fourier-Motzkin membership agree on edge vectors, random
+    coincide as generator sets, (2) the flow membership and the
+    Fourier-Motzkin membership agree on edge vectors, random
     nonnegative combinations, random points and the all-ones vector, and
     (3) the component-count dimension formula matches the exact rank.
     Failures are reported with a minimal witness, not raised.
@@ -296,7 +296,7 @@ def cross_validate(g: Graph, combinations: int = 25, random_points: int = 25,
     tested = 0
     for point in _point_battery(g, combinations, random_points, seed):
         tested += 1
-        lib = membership(g, point, max_vertices).is_member
+        lib = membership(g, point).is_member
         orc = fm_membership(vectors, point)
         if lib != orc:
             disagreement = (point, lib, orc)
@@ -306,7 +306,7 @@ def cross_validate(g: Graph, combinations: int = 25, random_points: int = 25,
     else:
         point, lib, orc = disagreement
         detail = (f"membership mismatch at {point}: "
-                  f"inequality system says {lib}, elimination says {orc}")
+                  f"flow says {lib}, elimination says {orc}")
     checks.append(Check("membership", disagreement is None, detail))
 
     formula = g.vertex_count - bipartite_component_count(g)

@@ -86,13 +86,9 @@ def facets_doc(facet_list: Sequence[Facet], g: Graph,
 
 
 def membership_doc(x: Sequence[Rational], result: MembershipResult, g: Graph) -> dict:
-    doc = {"vector": vector_doc(x), "is_member": result.is_member}
-    if result.violated is None:
-        doc["violated"] = None
-    elif isinstance(result.violated, Halfspace):
+    doc = {"vector": vector_doc(x), "is_member": result.is_member, "violated": None}
+    if result.violated is not None:
         doc["violated"] = halfspace_doc(result.violated, g)
-    else:
-        doc["violated"] = hyperplane_doc(result.violated, g)
     return doc
 
 
@@ -105,10 +101,7 @@ def decomposition_doc(b: Sequence[int], result: DecompositionResult, g: Graph) -
         doc["violated"] = None
     else:
         doc["decomposition"] = None
-        violated = result.violated
-        doc["violated"] = (halfspace_doc(violated, g)
-                           if isinstance(violated, Halfspace)
-                           else hyperplane_doc(violated, g))
+        doc["violated"] = halfspace_doc(result.violated, g)
     return doc
 
 

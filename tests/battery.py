@@ -10,7 +10,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from edgecone import Graph
+from edgecone import (CoordinateTag, Graph, independent_sets, is_independent,
+                      neighbor_set)
 
 
 def build(n: int, edges) -> Graph:
@@ -187,6 +188,34 @@ def relaxed_witness(g: Graph, rep, dropped):
         if drop_rate > 0:
             step = min(step, Fraction(h.margin(interior), drop_rate) / 2)
     return tuple(Fraction(c) - step * o for c, o in zip(interior, off))
+
+
+def surplus(g: Graph, x, a) -> int:
+    """``x(A) - x(N(A))``: positive exactly when ``A``'s halfspace is
+    violated."""
+    return sum(x[v] for v in a) - sum(x[v] for v in neighbor_set(g, a))
+
+
+def scan_membership(g: Graph, x) -> bool:
+    """Exhaustive reference for membership: nonnegative coordinates and
+    no independent set outweighing its neighbor set."""
+    return (all(c >= 0 for c in x)
+            and all(surplus(g, x, a) <= 0 for a in independent_sets(g)))
+
+
+def check_witness(g: Graph, x, violated) -> None:
+    """Assert the membership witness contract: the lowest-index negative
+    coordinate, or else a violated independent set from which no single
+    vertex can be dropped."""
+    assert violated.margin(x) < 0
+    tag = violated.plane.tag
+    if isinstance(tag, CoordinateTag):
+        assert x[tag.vertex] < 0 and all(c >= 0 for c in x[:tag.vertex])
+        return
+    a = tag.vertices
+    assert all(c >= 0 for c in x)
+    assert is_independent(g, a) and surplus(g, x, a) > 0
+    assert all(surplus(g, x, [u for u in a if u != v]) <= 0 for v in a)
 
 
 def kuhn_maximum_matching(g: Graph) -> int:

@@ -42,6 +42,19 @@ def test_matching_star(graph_file, capsys):
     assert set(violator) <= {"a", "b", "c"} and len(violator) >= 2
 
 
+def test_matching_above_the_enumeration_gate(graph_file, capsys):
+    # a 28-vertex path plus two leaves sharing its last vertex: 30 vertices
+    lines = [f"v{i} v{i + 1}" for i in range(27)] + ["v27 x", "v27 y"]
+    code, out, _ = run(capsys, "matching", graph_file("\n".join(lines)))
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["vertices"]) == 30 and doc["has_perfect_matching"] is False
+    violator = set(doc["violator"])
+    neighbors = {w for a, b in doc["edges"] for v, w in ((a, b), (b, a))
+                 if v in violator}
+    assert not violator & neighbors and len(violator) > len(neighbors)
+
+
 def test_canonical_rejects_triangle_naming_hypothesis(graph_file, capsys):
     code, _, err = run(capsys, "canonical", graph_file(TRIANGLE))
     assert code == 1

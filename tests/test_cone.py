@@ -128,7 +128,8 @@ def test_membership_apex_and_dimension_mismatch():
 
 def test_membership_witness_is_first_in_deterministic_order():
     verdict = membership(K13, (1, 1, 1, 1))
-    # size-then-lex order reaches the two-leaf set (0, 1) first
+    # no leaf can leave (0, 1) and keep it violated; dropping from the
+    # highest index down removes leaf 2 from the reachable leaves first
     assert verdict.violated.plane.tag == IndependentSetTag((0, 1))
     negative = membership(TRIANGLE, (-1, 0, 0))
     assert negative.violated.plane.tag == CoordinateTag(0)

@@ -1,0 +1,58 @@
+"""Membership, integer decomposition and perfect matching on graphs far
+above the enumeration gate: every decision is polynomial and comes with
+a certificate that is checked here."""
+
+import pytest
+
+from edgecone import (has_perfect_matching, integer_decompose,
+                      is_independent, membership, neighbor_set)
+from battery import build, check_witness, cycle, path
+
+
+def shared_neighbor_graph(n: int):
+    """A path on ``n - 2`` vertices plus two leaves whose only neighbor
+    is the path's last vertex: bipartite, with no perfect matching."""
+    edges = [(i, i + 1) for i in range(n - 3)]
+    return build(n, edges + [(n - 3, n - 2), (n - 3, n - 1)])
+
+
+def test_long_odd_cycle_membership():
+    g = cycle(199)
+    ones = (1,) * 199
+    assert membership(g, ones).is_member  # half of every edge
+    for x in ((3,) + ones[1:], ones[:-1] + (-1,), (0, 5) + (1,) * 197):
+        verdict = membership(g, x)
+        assert not verdict.is_member
+        check_witness(g, x, verdict.violated)
+
+
+@pytest.mark.parametrize("g, matchable", [
+    (path(200), True), (path(199), False), (shared_neighbor_graph(60), False)],
+    ids=["path200", "path199", "shared_neighbor60"])
+def test_bipartite_decisions_with_certificates(g, matchable):
+    n = g.vertex_count
+    ones = (1,) * n
+    verdict = membership(g, ones)
+    assert verdict.is_member == matchable
+    if not matchable:
+        check_witness(g, ones, verdict.violated)
+
+    matching = has_perfect_matching(g)
+    assert matching.has_matching == matchable
+    if matchable:
+        covered = sorted(v for e in matching.matching for v in g.edges[e])
+        assert covered == list(range(n))
+    else:
+        a = matching.violator
+        assert is_independent(g, a) and len(a) > len(neighbor_set(g, a))
+
+    target = [0] * n
+    for e, (i, j) in enumerate(g.edges):
+        target[i] += e % 3
+        target[j] += e % 3
+    result = integer_decompose(g, tuple(target))
+    assert result and result.decomposition.target(g) == tuple(target)
+    target[0] += 1  # an odd coordinate sum has no decomposition
+    result = integer_decompose(g, tuple(target))
+    assert not result
+    check_witness(g, target, result.violated)

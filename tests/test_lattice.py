@@ -69,7 +69,7 @@ def test_decompose_isolated_vertex_weight_is_absent():
     g = parse_graph("a b\nc")
     result = integer_decompose(g, (0, 0, 1))
     assert not result
-    # first violated constraint: the isolated vertex's own set
+    # the isolated vertex alone outweighs its empty neighbor set
     assert result.violated.plane.normal == (0, 0, 1)
 
 
@@ -115,7 +115,8 @@ def test_matching_star_violator():
     assert not result.has_matching
     a = result.violator
     assert len(a) > len(neighbor_set(K13, a))
-    # smallest-first search finds a minimum-cardinality violator
+    # no vertex can be dropped from the violator: both leaves outweigh
+    # the center only together
     assert a == (0, 1)
 
 

@@ -1,0 +1,96 @@
+"""Property tests on random graphs with at most 7 vertices.
+
+Three independent membership paths must agree: the library's max-flow,
+the exhaustive scan over independent sets and the Fourier-Motzkin
+oracle.  Every certificate the library returns is checked directly.
+Examples are derandomized, so every run tests the same inputs.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from edgecone import (edge_vectors, fm_membership, has_perfect_matching,
+                      integer_decompose, is_independent, membership,
+                      neighbor_set)
+from battery import build, check_witness, scan_membership
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def graphs(draw, bipartite=False):
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    if bipartite:
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(i, j) for i, j in pairs if side[i] != side[j]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def graph_and_point(draw):
+    """A graph with either a nonnegative rational combination of its edge
+    vectors or an arbitrary rational point."""
+    g = draw(graphs())
+    n = g.vertex_count
+    if g.edges and draw(st.booleans()):
+        weights = draw(st.lists(st.fractions(0, 6, max_denominator=4),
+                                min_size=len(g.edges), max_size=len(g.edges)))
+        point = [Fraction(0)] * n
+        for w, (i, j) in zip(weights, g.edges):
+            point[i] += w
+            point[j] += w
+        return g, tuple(point)
+    point = draw(st.lists(st.fractions(-3, 6, max_denominator=3),
+                          min_size=n, max_size=n))
+    return g, tuple(point)
+
+
+@PROPERTY
+@given(graph_and_point())
+def test_flow_scan_and_elimination_agree(case):
+    g, x = case
+    flow = membership(g, x)
+    assert flow.is_member == scan_membership(g, x) \
+        == fm_membership(edge_vectors(g), x)
+    if flow.is_member:
+        assert flow.violated is None
+    else:
+        check_witness(g, x, flow.violated)
+
+
+@PROPERTY
+@given(graphs(bipartite=True), st.data())
+def test_integer_decompositions_round_trip(g, data):
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(g.edges),
+                                max_size=len(g.edges)))
+    target = [0] * g.vertex_count
+    for c, (i, j) in zip(counts, g.edges):
+        target[i] += c
+        target[j] += c
+    result = integer_decompose(g, tuple(target))
+    assert result and result.decomposition.target(g) == tuple(target)
+    b = tuple(data.draw(st.lists(st.integers(-1, 3), min_size=g.vertex_count,
+                                 max_size=g.vertex_count)))
+    result = integer_decompose(g, b)
+    assert bool(result) == scan_membership(g, b)
+    if result:
+        assert result.decomposition.target(g) == b
+    else:
+        check_witness(g, b, result.violated)
+
+
+@PROPERTY
+@given(graphs(bipartite=True))
+def test_matching_violators_outnumber_their_neighbors(g):
+    result = has_perfect_matching(g)
+    if result:
+        covered = sorted(v for e in result.matching for v in g.edges[e])
+        assert covered == list(range(g.vertex_count))
+    else:
+        a = result.violator
+        assert is_independent(g, a) and len(a) > len(neighbor_set(g, a))
