@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
                     bipartite_component_count, independent_sets,
-                    is_independent, neighbor_set, vertex_set)
+                    neighbor_set, vertex_set)
 from .rational import Rational, dot, is_primitive
 
 SENSE_GE = ">=0"
@@ -114,13 +114,14 @@ def independent_set_halfspace(g: Graph, a: Iterable[int]) -> Halfspace:
     members = vertex_set(g, a)
     if not members:
         raise ValueError("independent set must be nonempty")
-    if not is_independent(g, members):
-        raise ValueError(f"vertex set {members} is not independent")
     normal = [0] * g.vertex_count
     for v in members:
         normal[v] = 1
-    for v in neighbor_set(g, members):
-        normal[v] = -1
+    for v in members:
+        for w in g.neighbors[v]:
+            if normal[w] == 1:
+                raise ValueError(f"vertex set {members} is not independent")
+            normal[w] = -1
     return Halfspace(Hyperplane(tuple(normal), IndependentSetTag(members)), SENSE_LE)
 
 

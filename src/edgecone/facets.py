@@ -63,26 +63,33 @@ def _side_split(g: Graph, normal: Sequence[int]):
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
     """Rank of the edge vectors with indices ``on``: the vertices they
-    touch minus the bipartite components of the subgraph they form, by a
-    union-find that keeps each vertex's colour relative to its parent."""
-    parent: dict[int, tuple[int, int]] = {}
-    odd = []  # a vertex of each component where an edge closed an odd cycle
-
-    def find(v: int) -> tuple[int, int]:
-        colour = 0
-        while parent.setdefault(v, (v, 0))[0] != v:
-            v, c = parent[v]
-            colour ^= c
-        return v, colour
-
+    touch minus the bipartite components of the subgraph they form.  A
+    union-find that keeps each vertex's colour relative to its parent
+    counts it as one per edge joining two trees plus one per tree in
+    which an edge closed an odd cycle."""
+    n = g.vertex_count
+    parent = list(range(n))
+    colour = [0] * n
+    odd = [False] * n  # per root
+    rank = 0
     for idx in on:
-        (ri, ci), (rj, cj) = map(find, g.edges[idx])
-        if ri != rj:
-            parent[rj] = (ri, ci ^ cj ^ 1)
-        elif ci == cj:
-            odd.append(ri)
-    bipartite = {find(v)[0] for v in parent} - {find(v)[0] for v in odd}
-    return len(parent) - len(bipartite)
+        i, j = g.edges[idx]
+        ci = cj = 0
+        while parent[i] != i:
+            ci ^= colour[i]
+            i = parent[i]
+        while parent[j] != j:
+            cj ^= colour[j]
+            j = parent[j]
+        if i != j:
+            parent[j] = i
+            colour[j] = ci ^ cj ^ 1
+            rank += 1 - (odd[i] and odd[j])
+            odd[i] = odd[i] or odd[j]
+        elif ci == cj and not odd[i]:
+            odd[i] = True
+            rank += 1
+    return rank
 
 
 def _on_indices(g: Graph, h: Hyperplane | Halfspace) -> tuple[int, ...]:
@@ -128,7 +135,8 @@ def _facet_groups(g: Graph, candidates: Iterable[Halfspace]
     groups: dict[tuple[int, ...], list[Halfspace]] = {}
     for h in candidates:
         on, _, _ = _side_split(g, h.plane.normal)
-        if _edge_rank(g, on) == dim - 1:
+        # the rank never exceeds the edge count
+        if len(on) >= dim - 1 and _edge_rank(g, on) == dim - 1:
             groups.setdefault(on, []).append(h)
     return groups
 
@@ -187,10 +195,9 @@ def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
     """Combinatorial facet test for an independent set strictly inside
     side 1 of a connected bipartite graph.
 
-    The set cuts a facet iff (a) the subgraph induced on the set plus
-    its neighbors is connected and covers all vertices but one of side
-    1, or (b) that subgraph and the one induced on the remaining
-    vertices are both connected (their union always spans the graph).
+    The set cuts a facet iff the subgraph induced on the set plus its
+    neighbors and the one induced on the remaining vertices are both
+    connected (their union always spans the graph).
     """
     side1, side2 = _sides(g)
     members = vertex_set(g, a)
@@ -203,9 +210,7 @@ def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
             f"vertex set {members} is not strictly inside side 1 {side1}")
     closed = set(members) | set(neighbor_set(g, members))
     rest = set(range(g.vertex_count)) - closed
-    case_a = (len(rest) == 1 and _induced_connected(g, closed))
-    case_b = _induced_connected(g, closed) and _induced_connected(g, rest)
-    return case_a or case_b
+    return _induced_connected(g, closed) and _induced_connected(g, rest)
 
 
 def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:

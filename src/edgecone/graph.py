@@ -9,7 +9,6 @@ eagerly, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -183,7 +182,9 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
 
     Order is deterministic: by cardinality, then lexicographically.  The
     empty set is excluded (its supporting hyperplane is degenerate and
-    contributes nothing).  Refuses graphs above the vertex gate.
+    contributes nothing).  Each set costs a few bit operations, so the
+    work follows the number of sets, not ``2**n``.  Refuses graphs above
+    the vertex gate.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -194,15 +195,21 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
     for i, j in g.edges:
         masks[i] |= 1 << j
         masks[j] |= 1 << i
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            bits = 0
-            for v in combo:
-                if masks[v] & bits:
-                    break
-                bits |= 1 << v
-            else:
-                yield combo
+    # Each set carries the bitmask of vertices that may still join it:
+    # above its last member and outside its neighborhood.  Extending a
+    # level in order, lowest vertex first, keeps the next level in
+    # lexicographic order.
+    level = [((v,), ((1 << n) - (2 << v)) & ~masks[v]) for v in range(n)]
+    while level:
+        extended = []
+        for members, free in level:
+            yield members
+            while free:
+                low = free & -free
+                free ^= low
+                w = low.bit_length() - 1
+                extended.append((members + (w,), free & ~masks[w]))
+        level = extended
 
 
 def bipartite_component_count(g: Graph) -> int:

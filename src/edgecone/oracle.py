@@ -9,7 +9,8 @@ in the package:
   multiplier variables of ``sum_i t_i g_i = x, t >= 0`` — equalities by
   exact substitution, the remaining multipliers by Fourier-Motzkin
   combination in index order.  The surviving rows describe the cone in
-  point space and are cached per generator tuple.
+  point space and are cached per generator tuple (for the most recent
+  ``_CACHE_SIZE`` tuples).
 
 The gates here are deliberately tight: the oracle exists for
 verification, not production.
@@ -33,6 +34,7 @@ from .rational import Rational, dot, nullspace, primitive, rational_rank, rref
 ORACLE_MAX_GENERATORS = 24
 ORACLE_MAX_DIMENSION = 10
 _ROW_LIMIT = 200_000  # safety valve against Fourier-Motzkin blowup
+_CACHE_SIZE = 128  # generator tuples whose facets or projection rows are kept
 
 
 def _check_gate(generators, dimension: int):
@@ -56,7 +58,7 @@ def _as_int_tuples(generators) -> tuple[tuple[int, ...], ...]:
     return gens
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _facet_data(generators: tuple[tuple[int, ...], ...]):
     """(inward primitive normal, on-generator indices) per facet.
 
@@ -133,7 +135,7 @@ def brute_force_facet_generator_sets(generators) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(on) for _, on in _facet_data(gens))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _projection_rows(generators: tuple[tuple[int, ...], ...],
                      dimension: int) -> tuple[tuple[int, ...], ...]:
     """Rows r with: x in cone(generators) iff r . x >= 0 for every row."""

@@ -24,14 +24,18 @@ def primitive(vector: Sequence[Rational]) -> tuple[int, ...]:
     """Smallest integer vector with the same direction.
 
     The result has coprime nonzero entries and keeps the sign of the
-    input (no orientation flip).
+    input (no orientation flip).  An ``int`` vector needs only its gcd;
+    any other entry makes every entry go through ``Fraction``.
     """
     if not any(vector):
         raise ValueError("zero vector has no primitive form")
-    scale = math.lcm(*(Fraction(c).denominator for c in vector))
-    ints = [int(c * scale) for c in vector]
+    if all(type(c) is int for c in vector):
+        ints = vector
+    else:
+        scale = math.lcm(*(Fraction(c).denominator for c in vector))
+        ints = [int(c * scale) for c in vector]
     g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    return tuple(ints) if g == 1 else tuple(c // g for c in ints)
 
 
 def is_primitive(vector: Sequence[Rational]) -> bool:

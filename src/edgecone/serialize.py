@@ -8,6 +8,7 @@ arrays; vertex order is echoed in every document header.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,14 +21,33 @@ from .oracle import ValidationReport
 from .rational import Rational
 
 
+# ``Fraction("1e100000000")`` builds a 10**100000000 and does not return
+# in any useful time; decimal exponents beyond this are rejected first.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+
+def _parse_rational(part: str) -> Fraction:
+    exponent = _EXPONENT.search(part)
+    if exponent:
+        digits = exponent.group(1).lstrip("+-").replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or "0") > MAX_DECIMAL_EXPONENT):
+            raise ValueError(
+                f"decimal exponent {exponent.group(1)} exceeds "
+                f"{MAX_DECIMAL_EXPONENT} in absolute value")
+    return Fraction(part)
+
+
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: "3/2,0,1" or decimals ("0.5" is
-    exactly 1/2)."""
+    exactly 1/2, "15e-1" is 3/2; exponents are capped at
+    ``MAX_DECIMAL_EXPONENT`` in absolute value)."""
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise ValueError("empty vector")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(_parse_rational(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational vector {text!r}: {exc}") from None
 

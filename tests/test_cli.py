@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -89,6 +90,14 @@ def test_member_round_trip(graph_file, capsys):
     assert doc["vector"] == ["1/2", "1/2", "1/2"]
     code, out, _ = run(capsys, "member", graph_file(TRIANGLE), "0.5,0.5,0.5")
     assert json.loads(out)["is_member"] is True
+
+
+def test_member_rejects_huge_exponent_fast(graph_file, capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "member", graph_file(SINGLE), "1e100000000,1")
+    assert time.perf_counter() - started < 5.0
+    assert code == 2 and out == ""
+    assert "exponent" in err
 
 
 def test_member_violation_witness(graph_file, capsys):

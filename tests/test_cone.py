@@ -7,7 +7,8 @@ from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       IndependentSetTag, affine_hull, cone_dimension,
                       coordinate_halfspace, edge_vectors, fm_membership,
                       full_representation, independent_set_halfspace,
-                      membership, parse_graph, rational_rank)
+                      independent_sets, membership, neighbor_set, parse_graph,
+                      rational_rank)
 from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
 from battery import (build, complete_bipartite, cycle, path, random_connected,
                      star, standard_battery)
@@ -22,6 +23,11 @@ def test_hyperplane_requires_primitive_normal():
         Hyperplane((2, 4))
     with pytest.raises(ValueError):
         Hyperplane((0, 0))
+    with pytest.raises(ValueError, match="primitive"):
+        Hyperplane((2, 0, -2))
+    with pytest.raises(ValueError, match="primitive"):
+        Hyperplane((Fraction(1, 2), 0))
+    assert Hyperplane((1, 0, -1)).normal == (1, 0, -1)
 
 
 def test_halfspace_sense_tag_invariants():
@@ -35,10 +41,24 @@ def test_halfspace_sense_tag_invariants():
 def test_independent_set_halfspace_normal():
     h = independent_set_halfspace(K13, [0, 1])
     assert h.plane.normal == (1, 1, 0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not independent"):
         independent_set_halfspace(TRIANGLE, [0, 1])  # adjacent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not independent"):
+        independent_set_halfspace(path(5), [0, 2, 3])  # adjacent last pair
+    with pytest.raises(ValueError, match="nonempty"):
         independent_set_halfspace(TRIANGLE, [])
+    with pytest.raises(ValueError, match="out of range"):
+        independent_set_halfspace(TRIANGLE, [0, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        independent_set_halfspace(TRIANGLE, [-1])
+    for g in standard_battery():
+        for a in independent_sets(g):
+            neighbors = set(neighbor_set(g, a))
+            expected = tuple(1 if v in a else -1 if v in neighbors else 0
+                             for v in range(g.vertex_count))
+            h = independent_set_halfspace(g, reversed(a))
+            assert h.plane.normal == expected
+            assert h.plane.tag == IndependentSetTag(a)
 
 
 def test_cone_dimension():

@@ -12,7 +12,7 @@ from edgecone import (CoordinateTag, GraphRequirementError,
                       independent_sets, is_facet, membership, neighbor_set,
                       parse_graph, rational_rank, remove_redundant)
 from edgecone.cone import Hyperplane
-from edgecone.facets import _induced_connected
+from edgecone.facets import _edge_rank, _induced_connected
 from edgecone.rational import dot
 from battery import (complete_bipartite, cycle, path,
                      random_connected_bipartite, standard_battery, star)
@@ -94,6 +94,23 @@ def test_facet_rank_invariant():
         for plane in planes:
             on = [v for v in vectors if dot(plane.normal, v) == 0]
             assert face_dimension(g, plane) == rational_rank(on), (g.edges, plane)
+
+
+def test_edge_rank_equals_elimination_on_random_edge_sets():
+    # shuffled, so that trees also merge after both closed odd cycles
+    rng = random.Random(5)
+    for g in standard_battery():
+        vectors = edge_vectors(g)
+        for _ in range(4):
+            on = [idx for idx in range(len(vectors)) if rng.random() < 0.5]
+            rng.shuffle(on)
+            assert _edge_rank(g, on) == rational_rank(
+                [vectors[idx] for idx in on]), (g.edges, on)
+    # two triangles joined last: 6 touched vertices, no bipartite piece
+    bowtie = parse_graph("a b\nb c\nc a\nx y\ny z\nz x\nc x")
+    assert _edge_rank(bowtie, range(7)) == 6
+    assert _edge_rank(bowtie, [0, 1, 2, 3, 4, 6]) == 6
+    assert _edge_rank(bowtie, [0, 1, 3, 4]) == 4
 
 
 def test_face_dimension_rejects_wrong_length_normals():

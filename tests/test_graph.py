@@ -6,7 +6,8 @@ from edgecone import (EdgeListParseError, EnumerationGateError, Graph,
                       bipartite_component_count, edge_vectors,
                       independent_sets, is_independent, neighbor_set,
                       parse_graph)
-from battery import build, path, random_connected, star
+from battery import (build, complete, path, random_connected, standard_battery,
+                     star)
 
 import random
 
@@ -117,6 +118,31 @@ def test_independent_sets_gate():
         list(independent_sets(g, max_vertices=5))
     # override allows it
     assert len(list(independent_sets(g, max_vertices=6))) > 0
+    # the default gate refuses before the first set
+    with pytest.raises(EnumerationGateError, match="21 vertices exceed the gate of 20"):
+        next(independent_sets(build(21, [])))
+    assert next(independent_sets(build(20, []))) == (0,)
+
+
+def _filtered_combinations(g):
+    """Every nonempty independent set by filtering all subsets, in
+    (size, lex) order."""
+    n = g.vertex_count
+    masks = [0] * n
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    out = []
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            bits = 0
+            for v in combo:
+                if masks[v] & bits:
+                    break
+                bits |= 1 << v
+            else:
+                out.append(combo)
+    return out
 
 
 def test_enumeration_matches_exhaustive_filter():
@@ -124,13 +150,15 @@ def test_enumeration_matches_exhaustive_filter():
     graphs = [random_connected(rng.randint(2, 10), rng, 0.35)
               for _ in range(8)]
     graphs.append(random_connected(12, rng, 0.3))
-    for g in graphs:
-        n = g.vertex_count
-        expected = {combo
-                    for size in range(1, n + 1)
-                    for combo in itertools.combinations(range(n), size)
-                    if is_independent(g, combo)}
-        assert set(independent_sets(g, max_vertices=12)) == expected
+    for g in graphs + list(standard_battery()):
+        assert list(independent_sets(g)) == _filtered_combinations(g), g.edges
+    matching = build(20, [(2 * k, 2 * k + 1) for k in range(10)])
+    sets = list(independent_sets(matching))
+    assert len(sets) == 3 ** 10 - 1
+    assert sets == _filtered_combinations(matching)
+    k20 = complete(20)
+    assert list(independent_sets(k20)) == [(v,) for v in range(20)]
+    assert _filtered_combinations(k20) == [(v,) for v in range(20)]
 
 
 def test_bipartite_component_count():

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgecone import rational_rank
 from edgecone.rational import dot, is_primitive, nullspace, primitive, rref
@@ -47,6 +49,40 @@ def test_primitive_is_fixed_point():
     v = primitive((Fraction(6, 4), -9, 12))
     assert primitive(v) == v
     assert is_primitive(v)
+
+
+def _cleared_primitive(vector):
+    """The denominator-clearing route through ``Fraction`` for every input."""
+    scale = math.lcm(*(Fraction(c).denominator for c in vector))
+    ints = [int(c * scale) for c in vector]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+ENTRIES = {
+    "int": st.integers(-10 ** 6, 10 ** 6),
+    "mixed": st.one_of(st.integers(-60, 60),
+                       st.fractions(min_value=-60, max_value=60, max_denominator=12)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_primitive_equals_the_cleared_route(kind):
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(ENTRIES[kind], min_size=1, max_size=8))
+    def check(vector):
+        if not any(vector):
+            with pytest.raises(ValueError):
+                primitive(vector)
+            assert not is_primitive(vector)
+            return
+        expected = _cleared_primitive(vector)
+        got = primitive(vector)
+        assert got == expected and all(type(c) is int for c in got)
+        assert primitive(tuple(vector)) == expected
+        assert is_primitive(vector) == (tuple(vector) == expected)
+        assert is_primitive(expected)
+    check()
 
 
 def test_rref_and_nullspace():

@@ -1,0 +1,33 @@
+import time
+from fractions import Fraction
+
+import pytest
+
+from edgecone.serialize import MAX_DECIMAL_EXPONENT, parse_rational_vector
+
+
+def test_parse_exact_rationals_and_decimals():
+    assert parse_rational_vector("3/2, 0,-1") == (Fraction(3, 2), 0, -1)
+    assert parse_rational_vector("0.5,15e-1,2E3") == (
+        Fraction(1, 2), Fraction(3, 2), 2000)
+    with pytest.raises(ValueError, match="empty"):
+        parse_rational_vector("")
+    with pytest.raises(ValueError, match="bad rational vector"):
+        parse_rational_vector("1,x")
+
+
+def test_exponents_up_to_the_cap_are_exact():
+    big, small = parse_rational_vector(
+        f"1e{MAX_DECIMAL_EXPONENT},1e-{MAX_DECIMAL_EXPONENT}")
+    assert big == 10 ** MAX_DECIMAL_EXPONENT
+    assert small == Fraction(1, 10 ** MAX_DECIMAL_EXPONENT)
+
+
+@pytest.mark.parametrize("text", [
+    "1e100000000", "1,1e-100000000", "2.5E+1_000_000",
+    f"1e{MAX_DECIMAL_EXPONENT + 1}", "1e" + "9" * 5000])
+def test_huge_exponents_are_rejected_fast(text):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational_vector(text)
+    assert time.perf_counter() - started < 1.0
