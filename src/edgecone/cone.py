@@ -195,7 +195,7 @@ def _clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
             raise ValueError(
                 f"coordinates must be int or Fraction, got {type(c).__name__} {c!r}")
     scale = math.lcm(*(c.denominator for c in x))
-    return tuple(int(c * scale) for c in x)
+    return tuple(c.numerator * (scale // c.denominator) for c in x)
 
 
 class _MaxFlow:

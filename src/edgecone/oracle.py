@@ -23,13 +23,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .cone import Hyperplane, membership, _clear_denominators
 from .errors import EnumerationGateError
 from .facets import facets
 from .graph import DEFAULT_MAX_VERTICES, Graph, bipartite_component_count, edge_vectors
-from .rational import Rational, dot, nullspace, primitive, rational_rank, rref
+from .rational import (Rational, dot, integer_kernel, primitive, rational_rank,
+                       rref)
 
 ORACLE_MAX_GENERATORS = 24
 ORACLE_MAX_DIMENSION = 10
@@ -58,21 +60,41 @@ def _as_int_tuples(generators) -> tuple[tuple[int, ...], ...]:
     return gens
 
 
+def _one_sided(functional: tuple[int, ...], points) -> bool:
+    """Do all points lie on one closed side of ``functional``?"""
+    positive = negative = False
+    for p in points:
+        value = sum(map(mul, functional, p))
+        positive |= value > 0
+        negative |= value < 0
+        if positive and negative:
+            return False
+    return True
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _facet_data(generators: tuple[tuple[int, ...], ...]):
     """(inward primitive normal, on-generator indices) per facet.
 
     Scans all (d-1)-subsets of the generators (d = rank).  A subset of
-    rank d-1 determines, up to scale, one normal inside the generator
-    span orthogonal to it; the normal survives if every generator lies
-    on one closed side and the on-hyperplane generators still have rank
-    d-1.  Cones of rank <= 1 have no facet besides the apex.
+    rank d-1 determines, up to scale, one linear functional on the
+    generator span vanishing on it; the subset supports a facet if every
+    generator lies on one closed side and the on-hyperplane generators
+    still have rank d-1.  Its normal is then the vector inside the span
+    orthogonal to the subset.  Cones of rank <= 1 have no facet besides
+    the apex.
+
+    All arithmetic is on integers.  The span maps one-to-one onto its
+    pivot coordinates, so functionals are scanned as integer kernels of
+    the generators projected onto those d coordinates.
     """
     gens = list(generators)
-    d = rational_rank(gens)
+    reduced, pivots = rref(gens)
+    d = len(pivots)
     if d <= 1:
         return ()
-    basis, _ = rref(gens)  # span basis, d rows
+    basis = [primitive(row) for row in reduced]  # span basis, d rows
+    projected = [tuple(g[col] for col in pivots) for g in gens]
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     on_sets: list[set[int]] = []
     for subset in itertools.combinations(range(len(gens)), d - 1):
@@ -80,21 +102,19 @@ def _facet_data(generators: tuple[tuple[int, ...], ...]):
         # would reproduce its normal.
         if any(on.issuperset(subset) for on in on_sets):
             continue
-        chosen = [gens[i] for i in subset]
-        if rational_rank(chosen) != d - 1:
+        # None unless the subset has rank d - 1
+        functional = integer_kernel([projected[i] for i in subset], d)
+        if functional is None:
+            continue
+        if not _one_sided(functional, projected):
             continue
         # normal = c . basis with <normal, s> = 0 for s in the subset
-        system = [[dot(b, s) for b in basis] for s in chosen]
-        kernel = nullspace(system, d)
-        if len(kernel) != 1:
-            continue
-        coeffs = kernel[0]
+        system = [[dot(b, gens[i]) for b in basis] for i in subset]
+        coeffs = integer_kernel(system, d)
         normal = primitive([
             sum(c * b[col] for c, b in zip(coeffs, basis))
             for col in range(len(gens[0]))])
         values = [dot(normal, g) for g in gens]
-        if any(v > 0 for v in values) and any(v < 0 for v in values):
-            continue
         if all(v <= 0 for v in values):
             normal = tuple(-c for c in normal)
             values = [-v for v in values]
@@ -251,14 +271,16 @@ class ValidationReport:
 
 
 def _point_battery(g: Graph, combinations: int, random_points: int, seed: int):
-    vectors = edge_vectors(g)
-    points = [tuple(v) for v in vectors]
+    points = [tuple(v) for v in edge_vectors(g)]
     rng = random.Random(seed)
     for _ in range(combinations):
-        coeffs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in vectors]
-        points.append(tuple(
-            sum(c * v[k] for c, v in zip(coeffs, vectors))
-            for k in range(g.vertex_count)))
+        # coefficients a/b with b in 1..4, summed in twelfths
+        twelfths = [0] * g.vertex_count
+        for i, j in g.edges:
+            weight = rng.randint(0, 6) * (12 // rng.randint(1, 4))
+            twelfths[i] += weight
+            twelfths[j] += weight
+        points.append(tuple(Fraction(t, 12) for t in twelfths))
     for _ in range(random_points):
         points.append(tuple(
             Fraction(rng.randint(-4, 8), rng.randint(1, 3))

@@ -117,18 +117,41 @@ def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list
     return mat[:r], pivots
 
 
-def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : A x = 0} of an ``ncols``-column matrix."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, piv in zip(reduced, pivots):
-            vec[piv] = -row[free]
-        basis.append(tuple(vec))
-    return basis
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
+    """Primitive integer vector spanning the right kernel {x : A x = 0} of
+    an ``ncols``-column integer matrix, or None when that kernel is not
+    one-dimensional.
 
+    Fraction-free Gauss-Jordan: each row combination ``p * row - f * lead``
+    is divided by its gcd, so entries stay small integers.  The sign of
+    the result is unspecified.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        lead = mat[r]
+        p = lead[col]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != r and f:
+                new = [p * a - f * b for a, b in zip(mat[i], lead)]
+                g = math.gcd(*new)
+                mat[i] = [c // g for c in new] if g > 1 else new
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    if ncols - len(pivots) != 1:
+        return None
+    (free,) = set(range(ncols)).difference(pivots)
+    # row k reads mat[k][pivot] * x[pivot] + mat[k][free] * x[free] = 0
+    scale = math.lcm(*(mat[k][piv] for k, piv in enumerate(pivots)))
+    vec = [0] * ncols
+    vec[free] = scale
+    for k, piv in enumerate(pivots):
+        vec[piv] = -mat[k][free] * (scale // mat[k][piv])
+    return primitive(vec)

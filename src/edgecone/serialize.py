@@ -25,6 +25,15 @@ from .rational import Rational
 # in any useful time; decimal exponents beyond this are rejected first.
 MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+# Parse errors quote at most this many characters of the input and of
+# the underlying error, however long the argument is.
+MAX_ECHOED_CHARS = 60
+
+
+def _clip(text: str) -> str:
+    if len(text) <= MAX_ECHOED_CHARS:
+        return text
+    return f"{text[:MAX_ECHOED_CHARS]}... ({len(text)} characters)"
 
 
 def _parse_rational(part: str) -> Fraction:
@@ -34,9 +43,11 @@ def _parse_rational(part: str) -> Fraction:
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits or "0") > MAX_DECIMAL_EXPONENT):
             raise ValueError(
-                f"decimal exponent {exponent.group(1)} exceeds "
-                f"{MAX_DECIMAL_EXPONENT} in absolute value")
-    return Fraction(part)
+                f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value")
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
@@ -46,10 +57,15 @@ def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise ValueError("empty vector")
-    try:
-        return tuple(_parse_rational(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational vector {text!r}: {exc}") from None
+    values = []
+    for position, part in enumerate(parts, 1):
+        try:
+            values.append(_parse_rational(part))
+        except ValueError as exc:
+            raise ValueError(
+                f"bad rational vector: entry {position} of {len(parts)}, "
+                f"{_clip(repr(part))}: {_clip(str(exc))}") from None
+    return tuple(values)
 
 
 def vector_doc(x: Sequence[Rational]) -> list[str]:

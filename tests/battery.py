@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
 
-from edgecone import (CoordinateTag, Graph, independent_sets, is_independent,
-                      neighbor_set)
+from edgecone import (CoordinateTag, Graph, edge_vectors,
+                      independent_set_halfspace, independent_sets,
+                      is_independent, neighbor_set)
 
 
 def build(n: int, edges) -> Graph:
@@ -239,3 +241,44 @@ def kuhn_maximum_matching(g: Graph) -> int:
         if try_augment(v, set()):
             size += 1
     return size
+
+
+def _induced_connected(g: Graph, members) -> bool:
+    mset = set(members)
+    if not mset:
+        return False
+    seen = {min(mset)}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors[v]:
+            if w in mset and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == mset
+
+
+def combinatorial_facet_sets(g: Graph) -> frozenset:
+    """Facets of a connected bipartite graph via the two-sided
+    connectivity characterization: an independent set strictly inside
+    one side cuts a facet iff the subgraphs induced on the set plus its
+    neighbors and on the remaining vertices are both connected (a single
+    leftover vertex counts)."""
+    side1, side2 = g.bipartitions[0]
+    everything = set(range(g.vertex_count))
+    found = set()
+    for side in (side1, side2):
+        sideset = set(side)
+        for a in independent_sets(g):
+            if not set(a) < sideset:
+                continue
+            closed = set(a) | set(neighbor_set(g, a))
+            rest = everything - closed
+            if not (_induced_connected(g, closed)
+                    and (len(rest) == 1 or _induced_connected(g, rest))):
+                continue
+            h = independent_set_halfspace(g, a)
+            on = frozenset(i for i, v in enumerate(edge_vectors(g))
+                           if h.margin(v) == 0)
+            found.add(on)
+    return frozenset(found)

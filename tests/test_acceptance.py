@@ -9,7 +9,6 @@ graphs on at most 8 vertices from ``battery.bipartite_battery``.
 
 import random
 import time
-from collections import deque
 from fractions import Fraction
 
 from edgecone import (CoordinateTag,
@@ -21,16 +20,22 @@ from edgecone import (CoordinateTag,
                       independent_set_halfspace, independent_sets, is_facet,
                       has_perfect_matching, integer_decompose, membership,
                       neighbor_set, parity_check, rational_rank)
-from battery import (bipartite_battery, complete_bipartite, kuhn_maximum_matching,
+from battery import (bipartite_battery, combinatorial_facet_sets,
+                     complete_bipartite, kuhn_maximum_matching,
                      relaxed_witness, standard_battery, star)
 
 
-def _report(number: int, label: str, started: float, budget: float | None = None):
+def _report(number: int, label: str, started: float, budget: float | None = None,
+            split: dict[str, float] | None = None):
+    """Print the pass line; ``split`` names where the time went."""
     elapsed = time.perf_counter() - started
     line = f"ACCEPTANCE {number} ({label}): PASS [{elapsed:.2f}s"
     if budget is not None:
         assert elapsed < budget, f"criterion {number} exceeded {budget}s budget"
         line += f" < {budget:.0f}s"
+    if split:
+        line += ": " + ", ".join(f"{part} {seconds:.2f}s"
+                                 for part, seconds in split.items())
     print(line + "]")
 
 
@@ -80,8 +85,10 @@ def test_criterion_3_dimension_identity():
 
 def test_criterion_4_membership_agreement():
     started = time.perf_counter()
+    split = {"points": 0.0, "membership": 0.0, "fm_membership": 0.0}
     disagreements = 0
     for index, g in enumerate(standard_battery()):
+        t0 = time.perf_counter()
         vectors = edge_vectors(g)
         n = g.vertex_count
         rng = random.Random(9_000 + index)
@@ -95,51 +102,18 @@ def test_criterion_4_membership_agreement():
             points.append(tuple(Fraction(rng.randint(-4, 8), rng.randint(1, 3))
                                 for _ in range(n)))
         points.append((1,) * n)
-        for point in points:
-            if membership(g, point).is_member != fm_membership(vectors, point):
-                disagreements += 1
+        t1 = time.perf_counter()
+        by_flow = [membership(g, point).is_member for point in points]
+        t2 = time.perf_counter()
+        by_elimination = [fm_membership(vectors, point) for point in points]
+        t3 = time.perf_counter()
+        disagreements += sum(a != b for a, b in zip(by_flow, by_elimination))
+        split["points"] += t1 - t0
+        split["membership"] += t2 - t1
+        split["fm_membership"] += t3 - t2
     assert disagreements == 0
-    _report(4, "membership vs elimination oracle", started, budget=600.0)
-
-
-def _induced_connected(g, members) -> bool:
-    mset = set(members)
-    if not mset:
-        return False
-    seen = {min(mset)}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors[v]:
-            if w in mset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == mset
-
-
-def _combinatorial_facet_sets(g) -> frozenset:
-    """Facets via the two-sided connectivity characterization: an
-    independent set strictly inside one side cuts a facet iff the
-    subgraphs induced on the set plus its neighbors and on the remaining
-    vertices are both connected (a single leftover vertex counts)."""
-    side1, side2 = g.bipartitions[0]
-    everything = set(range(g.vertex_count))
-    found = set()
-    for side in (side1, side2):
-        sideset = set(side)
-        for a in independent_sets(g):
-            if not set(a) < sideset:
-                continue
-            closed = set(a) | set(neighbor_set(g, a))
-            rest = everything - closed
-            if not (_induced_connected(g, closed)
-                    and (len(rest) == 1 or _induced_connected(g, rest))):
-                continue
-            h = independent_set_halfspace(g, a)
-            on = frozenset(i for i, v in enumerate(edge_vectors(g))
-                           if h.margin(v) == 0)
-            found.add(on)
-    return frozenset(found)
+    _report(4, "membership vs elimination oracle", started, budget=600.0,
+            split=split)
 
 
 def test_criterion_5_facet_triple_agreement():
@@ -150,7 +124,7 @@ def test_criterion_5_facet_triple_agreement():
             by_rank = frozenset()
         else:
             by_rank = frozenset(frozenset(f.generators_on) for f in facets(g))
-        by_connectivity = _combinatorial_facet_sets(g)
+        by_connectivity = combinatorial_facet_sets(g)
         by_brute_force = brute_force_facet_generator_sets(edge_vectors(g))
         if not (by_rank == by_connectivity == by_brute_force):
             mismatches.append(g.edges)

@@ -100,6 +100,13 @@ def test_member_rejects_huge_exponent_fast(graph_file, capsys):
     assert "exponent" in err
 
 
+def test_member_parse_error_stays_short(graph_file, capsys):
+    code, out, err = run(capsys, "member", graph_file(SINGLE), "1e" + "9" * 5000)
+    assert code == 2 and out == ""
+    assert "entry 1 of 1" in err and "exponent" in err
+    assert len(err) < 300
+
+
 def test_member_violation_witness(graph_file, capsys):
     code, out, _ = run(capsys, "member", graph_file(K13), "1,1,1,1")
     assert code == 0

@@ -14,7 +14,7 @@ from edgecone import (CoordinateTag, GraphRequirementError,
 from edgecone.cone import Hyperplane
 from edgecone.facets import _edge_rank, _induced_connected
 from edgecone.rational import dot
-from battery import (complete_bipartite, cycle, path,
+from battery import (complete_bipartite, connected_graphs_upto, cycle, path,
                      random_connected_bipartite, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
@@ -81,15 +81,16 @@ def test_facet_rank_invariant():
     # the combinatorial face rank equals exact elimination on every
     # candidate: coordinate and independent-set halfspaces over the whole
     # battery, and the oracle's raw facet normals over its exhaustive
-    # part (every connected graph on <= 5 vertices; the oracle costs
-    # seconds per 7-vertex graph)
-    for g in standard_battery():
+    # part (every connected graph on <= 5 vertices) and every fifth of
+    # its random 6-7-vertex graphs (about 30 ms each for the oracle)
+    exhaustive = len(connected_graphs_upto(5))
+    for index, g in enumerate(standard_battery()):
         vectors = edge_vectors(g)
         planes = [coordinate_halfspace(g, v).plane
                   for v in range(g.vertex_count)]
         planes += [independent_set_halfspace(g, a).plane
                    for a in independent_sets(g)]
-        if g.vertex_count <= 5:
+        if index < exhaustive or (index - exhaustive) % 5 == 0:
             planes += brute_force_facets(vectors)
         for plane in planes:
             on = [v for v in vectors if dot(plane.normal, v) == 0]

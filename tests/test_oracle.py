@@ -129,6 +129,27 @@ def test_facet_halfspaces_contain_all_generators():
             assert tuple(i for i, v in enumerate(values) if v == 0) == on
 
 
+def test_point_battery_equals_fraction_combinations():
+    from edgecone.oracle import _point_battery
+    rng = random.Random(71)
+    graphs = [TRIANGLE, K13, parse_graph("a b\nc d\nlonely")]
+    graphs += [random_connected(rng.randint(1, 7), rng, 0.4) for _ in range(8)]
+    for seed, g in enumerate(graphs):
+        vectors = edge_vectors(g)
+        draw = random.Random(seed)
+        expected = [tuple(v) for v in vectors]
+        for _ in range(6):
+            coeffs = [Fraction(draw.randint(0, 6), draw.randint(1, 4))
+                      for _ in vectors]
+            expected.append(tuple(sum(c * v[k] for c, v in zip(coeffs, vectors))
+                                  for k in range(g.vertex_count)))
+        for _ in range(4):
+            expected.append(tuple(Fraction(draw.randint(-4, 8), draw.randint(1, 3))
+                                  for _ in range(g.vertex_count)))
+        expected.append((1,) * g.vertex_count)
+        assert _point_battery(g, 6, 4, seed) == expected
+
+
 def test_cross_validate_triangle():
     report = cross_validate(TRIANGLE)
     assert report.passed

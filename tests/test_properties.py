@@ -2,8 +2,11 @@
 
 Three independent membership paths must agree: the library's max-flow,
 the exhaustive scan over independent sets and the Fourier-Motzkin
-oracle.  Every certificate the library returns is checked directly.
-Examples are derandomized, so every run tests the same inputs.
+oracle.  Three facet enumerations must agree too: the library's rank
+criterion, the brute-force oracle and, on connected bipartite graphs,
+the two-sided connectivity rule.  Every certificate the library returns
+is checked directly.  Examples are derandomized, so every run tests the
+same inputs.
 """
 
 import itertools
@@ -11,10 +14,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from edgecone import (edge_vectors, fm_membership, has_perfect_matching,
-                      integer_decompose, is_independent, membership,
-                      neighbor_set)
-from battery import build, check_witness, scan_membership
+from edgecone import (brute_force_facet_generator_sets, edge_vectors, facets,
+                      fm_membership, has_perfect_matching, integer_decompose,
+                      is_independent, membership, neighbor_set)
+from battery import (build, check_witness, combinatorial_facet_sets,
+                     scan_membership)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -29,6 +33,24 @@ def graphs(draw, bipartite=False):
         pairs = [(i, j) for i, j in pairs if side[i] != side[j]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return build(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def connected_bipartite_graphs(draw):
+    """A random spanning tree, 2-coloured along its edges, plus random
+    edges between the two colours."""
+    n = draw(st.integers(1, 7))
+    side = [False]
+    edges = set()
+    for v in range(1, n):
+        parent = draw(st.integers(0, v - 1))
+        edges.add((parent, v))
+        side.append(not side[parent])
+    pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+             if side[i] != side[j] and (i, j) not in edges]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges.update(pair for pair, kept in zip(pairs, keep) if kept)
+    return build(n, edges)
 
 
 @st.composite
@@ -94,3 +116,12 @@ def test_matching_violators_outnumber_their_neighbors(g):
     else:
         a = result.violator
         assert is_independent(g, a) and len(a) > len(neighbor_set(g, a))
+
+
+@PROPERTY
+@given(st.one_of(graphs(), graphs(bipartite=True), connected_bipartite_graphs()))
+def test_rank_brute_force_and_connectivity_facets_coincide(g):
+    by_rank = frozenset(frozenset(f.generators_on) for f in facets(g))
+    assert by_rank == brute_force_facet_generator_sets(edge_vectors(g))
+    if g.is_connected() and g.is_bipartite():
+        assert by_rank == combinatorial_facet_sets(g)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecone import rational_rank
-from edgecone.rational import dot, is_primitive, nullspace, primitive, rref
+from edgecone.rational import dot, integer_kernel, is_primitive, primitive, rref
 
 
 def test_rank_triangle_incidence_columns():
@@ -89,9 +89,57 @@ def test_rref_and_nullspace():
     rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
     reduced, pivots = rref(rows)
     assert pivots == [0, 1]
-    basis = nullspace(rows, 3)
-    assert len(basis) == 1
-    vec = basis[0]
+    assert reduced == [[1, 0, 1], [0, 1, 1]]
+    vec = integer_kernel(rows, 3)
+    assert vec in ((1, 1, -1), (-1, -1, 1))
     for row in rows:
         assert dot(row, vec) == 0
 
+
+def test_integer_kernel_hand_built():
+    # one kernel dimension: a primitive integer vector, either sign
+    assert integer_kernel([(2, -4)], 2) in ((2, 1), (-2, -1))
+    assert integer_kernel([(3, 0, 6), (0, 5, 10)], 3) in ((2, 2, -1), (-2, -2, 1))
+    assert integer_kernel([(0, 0, 7), (0, 4, 0)], 3) in ((1, 0, 0), (-1, 0, 0))
+    assert integer_kernel([(-6, 4, 10), (9, -6, 0)], 3) in ((2, 3, 0), (-2, -3, 0))
+    assert integer_kernel([], 1) == (1,)
+    # rank-deficient systems leave a larger kernel
+    assert integer_kernel([(1, 2, 3), (2, 4, 6)], 3) is None
+    assert integer_kernel([(0, 0, 0), (1, 1, 0)], 3) is None
+    # too many kernel dimensions
+    assert integer_kernel([(1, 1, 1)], 3) is None
+    assert integer_kernel([], 2) is None
+    # no kernel at all
+    assert integer_kernel([(1, 0), (0, 1)], 2) is None
+    assert integer_kernel([(1, 2), (3, 4), (5, 6)], 2) is None
+
+
+def _kernel_by_rref(rows, ncols):
+    """The kernel through Fraction ``rref``, when it is one-dimensional."""
+    reduced, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * ncols
+    vec[free[0]] = Fraction(1)
+    for row, piv in zip(reduced, pivots):
+        vec[piv] = -row[free[0]]
+    return primitive(vec)
+
+
+def test_integer_kernel_equals_the_rref_route():
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda ncols: st.tuples(st.lists(
+        st.lists(st.integers(-40, 40), min_size=ncols, max_size=ncols),
+        max_size=ncols + 1), st.just(ncols))))
+    def check(case):
+        rows, ncols = case
+        expected = _kernel_by_rref(rows, ncols)
+        got = integer_kernel(rows, ncols)
+        if expected is None:
+            assert got is None
+        else:
+            assert got in (expected, tuple(-c for c in expected))
+            assert all(type(c) is int for c in got)
+            assert all(dot(row, got) == 0 for row in rows)
+    check()

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from edgecone.serialize import MAX_DECIMAL_EXPONENT, parse_rational_vector
+from edgecone.serialize import (MAX_DECIMAL_EXPONENT, MAX_ECHOED_CHARS,
+                                parse_rational_vector)
 
 
 def test_parse_exact_rationals_and_decimals():
@@ -31,3 +32,18 @@ def test_huge_exponents_are_rejected_fast(text):
     with pytest.raises(ValueError, match="exponent"):
         parse_rational_vector(text)
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e" + "9" * 5000, "entry 1 of 1"),
+    ("1,2," + "x" * 10_000, "entry 3 of 3"),
+    ("0,1/0", "entry 2 of 2"),
+    ("1,," + "7" * 5000, "entry 2 of 3"),
+    ("9" * 5000, "entry 1 of 1")])
+def test_errors_name_the_entry_and_stay_short(text, position):
+    with pytest.raises(ValueError, match="bad rational vector") as caught:
+        parse_rational_vector(text)
+    message = str(caught.value)
+    assert position in message
+    # the entry and the underlying error are each cut to the cap
+    assert len(message) < 3 * MAX_ECHOED_CHARS + 100
