@@ -13,14 +13,12 @@ from graph combinatorics; exact elimination runs only in the oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
-                    bipartite_component_count, independent_sets,
-                    neighbor_set, vertex_set)
+                    bipartite_component_count, independent_sets, vertex_set)
 from .rational import Rational, dot, is_primitive
 
 SENSE_GE = ">=0"
@@ -199,56 +197,94 @@ def _clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
 
 
 class _MaxFlow:
-    """Edmonds-Karp with integer capacities; arcs scanned in insertion
-    order, so results are deterministic."""
+    """Dinic's maximum flow on integer capacities (Dinic 1970).
 
-    def __init__(self, nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Each phase labels the residual network with breadth-first levels,
+    then saturates it with a blocking flow: an iterative depth-first
+    search along level-increasing arcs that keeps a current-arc pointer
+    per node, so no arc is rescanned after it stops leading to the sink.
+    Unit networks such as the all-ones double cover take O(m sqrt(n))
+    time (Even and Tarjan 1975).  Arcs are scanned in insertion order,
+    so results are deterministic.
 
-    def add_arc(self, u: int, v: int, capacity: int):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    Arc ``k`` of ``arcs``, a ``(tail, head, capacity)`` triple, becomes
+    residual arc ``2k`` with its reverse at ``2k + 1``; after ``run``,
+    ``cap[2k + 1]`` is the flow it carries.
+    """
 
-    def _search(self, source: int, sink: int) -> list[int]:
-        """Residual breadth-first search to the sink: each node's entry arc."""
-        parent_arc = [-1] * len(self.adj)
-        parent_arc[source] = -2
-        queue = deque([source])
-        while queue and parent_arc[sink] == -1:
-            u = queue.popleft()
-            for arc in self.adj[u]:
-                v = self.to[arc]
-                if self.cap[arc] > 0 and parent_arc[v] == -1:
-                    parent_arc[v] = arc
-                    queue.append(v)
-        return parent_arc
+    def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]):
+        adj: list[list[int]] = [[] for _ in range(nodes)]
+        to: list[int] = []
+        cap: list[int] = []
+        for tail, head, capacity in arcs:
+            adj[tail].append(len(to))
+            adj[head].append(len(to) + 1)
+            to += (head, tail)
+            cap += (capacity, 0)
+        self.adj, self.to, self.cap = adj, to, cap
+        self.level: list[int] = []
 
     def run(self, source: int, sink: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
         while True:
-            parent_arc = self._search(source, sink)
-            if parent_arc[sink] == -1:
+            level = [-1] * len(adj)
+            level[source] = 0
+            queue = [source]
+            for u in queue:
+                depth = level[u] + 1
+                for arc in adj[u]:
+                    v = to[arc]
+                    if cap[arc] and level[v] < 0:
+                        level[v] = depth
+                        queue.append(v)
+                if level[sink] >= 0:
+                    break
+            self.level = level
+            if level[sink] < 0:
                 return total
-            path = []
-            v = sink
-            while v != source:
-                path.append(parent_arc[v])
-                v = self.to[parent_arc[v] ^ 1]
-            bottleneck = min(self.cap[arc] for arc in path)
-            for arc in path:
-                self.cap[arc] -= bottleneck
-                self.cap[arc ^ 1] += bottleneck
-            total += bottleneck
+            current = [0] * len(adj)
+            path: list[int] = []
+            u = source
+            while True:
+                if u == sink:
+                    pushed = min([cap[arc] for arc in path])
+                    for arc in path:
+                        cap[arc] -= pushed
+                        cap[arc ^ 1] += pushed
+                    total += pushed
+                    # resume from the tail of the first saturated arc
+                    cut = 0
+                    while cap[path[cut]]:
+                        cut += 1
+                    u = to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = adj[u]
+                depth = level[u] + 1
+                k, end = current[u], len(arcs)
+                while k < end:
+                    arc = arcs[k]
+                    if cap[arc] and level[to[arc]] == depth:
+                        break
+                    k += 1
+                current[u] = k
+                if k < end:
+                    path.append(arc)
+                    u = to[arc]
+                elif path:
+                    # dead end: retreat and skip the arc that led here
+                    u = to[path.pop() ^ 1]
+                    current[u] += 1
+                else:
+                    break
 
-    def reachable(self, source: int, sink: int) -> list[bool]:
-        """After ``run``: the source side of a minimum cut."""
-        return [arc != -1 for arc in self._search(source, sink)]
+    def reachable(self) -> list[bool]:
+        """After ``run``: the nodes the residual network reaches from the
+        source, labeled by the last phase's failed search.  That is the
+        source side of the minimal minimum cut, the same for every
+        maximum flow."""
+        return [depth >= 0 for depth in self.level]
 
 
 def _hall_violator(g: Graph, point: Sequence[int]) -> VertexSet | None:
@@ -261,31 +297,44 @@ def _hall_violator(g: Graph, point: Sequence[int]) -> VertexSet | None:
     ``vw``.  A short flow leaves reachable left vertices ``S`` with
     ``point(S) > point(N(S))``; those outside ``N(S)`` are independent,
     have no neighbor in ``S`` and so keep that surplus.  Passes from the
-    highest index down then drop vertices while the rest stays violated.
+    highest index down then drop vertices while the rest stays violated;
+    dropping ``v`` takes from the neighbor set exactly the neighbors of
+    ``v`` that no other member touches, so each test costs ``deg v``.
     """
     n = g.vertex_count
     total = sum(point)
     source, sink = 2 * n, 2 * n + 1
-    flow = _MaxFlow(2 * n + 2)
+    arcs = []
     for v in range(n):
-        flow.add_arc(source, v, point[v])
-        flow.add_arc(n + v, sink, point[v])
+        arcs += ((source, v, point[v]), (n + v, sink, point[v]))
     for i, j in g.edges:
-        flow.add_arc(i, n + j, total)
-        flow.add_arc(j, n + i, total)
+        arcs += ((i, n + j, total), (j, n + i, total))
+    flow = _MaxFlow(2 * n + 2, arcs)
     if flow.run(source, sink) == total:
         return None
-    reached = [v for v, hit in enumerate(flow.reachable(source, sink)[:n]) if hit]
-    members = sorted(set(reached) - set(neighbor_set(g, reached)))
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for v in sorted(members, reverse=True):
-            rest = [u for u in members if u != v]
-            neighbors = neighbor_set(g, rest)
-            if sum(point[u] for u in rest) > sum(point[u] for u in neighbors):
-                members, shrinking = rest, True
-    return tuple(members)
+    reached = flow.reachable()
+    neighbors = g.neighbors
+    members = [v for v in range(n)
+               if reached[v] and not any(reached[w] for w in neighbors[v])]
+    touching = [0] * n  # members adjacent to each vertex
+    for v in members:
+        for w in neighbors[v]:
+            touching[w] += 1
+    surplus = (sum(point[v] for v in members)
+               - sum(point[w] for w in range(n) if touching[w]))
+    while True:
+        kept = []
+        for v in reversed(members):
+            change = sum(point[w] for w in neighbors[v] if touching[w] == 1) - point[v]
+            if surplus + change > 0:
+                surplus += change
+                for w in neighbors[v]:
+                    touching[w] -= 1
+            else:
+                kept.append(v)
+        if len(kept) == len(members):
+            return tuple(members)
+        members = kept[::-1]
 
 
 def membership(g: Graph, x: Sequence[Rational]) -> MembershipResult:

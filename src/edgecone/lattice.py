@@ -4,9 +4,9 @@ For a bipartite graph the incidence matrix is totally unimodular, so an
 integer vector lies in the edge cone exactly when it is a sum of edge
 vectors with nonnegative integer multiplicities.  The decomposition is
 computed as an integral transshipment (edges oriented side 1 to side 2,
-supplies and demands given by the target vector) solved by shortest
-augmenting paths; the all-ones target decides the perfect matching
-question.
+supplies and demands given by the target vector) solved by the same
+blocking-flow maximum flow that decides membership; the all-ones target
+decides the perfect matching question.
 """
 
 from __future__ import annotations
@@ -86,25 +86,13 @@ def _transshipment(g: Graph, b) -> dict[int, int] | None:
     if supply != demand:
         return None
     source, sink = n, n + 1
-    flow = _MaxFlow(n + 2)
-    for v in range(n):
-        if v in side1:
-            flow.add_arc(source, v, b[v])
-        else:
-            flow.add_arc(v, sink, b[v])
-    edge_arcs = []
-    for idx, (i, j) in enumerate(g.edges):
-        u, w = (i, j) if i in side1 else (j, i)
-        edge_arcs.append(len(flow.to))
-        flow.add_arc(u, w, supply)
+    arcs = [(i, j, supply) if i in side1 else (j, i, supply) for i, j in g.edges]
+    arcs += [(source, v, b[v]) if v in side1 else (v, sink, b[v]) for v in range(n)]
+    flow = _MaxFlow(n + 2, arcs)
     if flow.run(source, sink) != supply:
         return None
-    result = {}
-    for idx, arc in enumerate(edge_arcs):
-        used = flow.cap[arc ^ 1]  # residual of the reverse arc = flow sent
-        if used:
-            result[idx] = used
-    return result
+    sent = flow.cap[1:2 * len(g.edges):2]  # reverse residuals of the edge arcs
+    return {idx: used for idx, used in enumerate(sent) if used}
 
 
 def integer_decompose(g: Graph, b) -> DecompositionResult:
@@ -115,6 +103,10 @@ def integer_decompose(g: Graph, b) -> DecompositionResult:
     vector in the cone, so infeasibility always comes with the
     certificate ``membership`` gives: a negative coordinate or a violated
     independent set.  Both searches take polynomial time.
+
+    The multiplicities are some valid decomposition, the one the flow
+    finds: deterministic for a fixed version of this library, but not
+    canonical, so another version may return another one.
     """
     _require_bipartite(g, "integer decomposition")
     _require_integers(b)
@@ -139,10 +131,11 @@ def has_perfect_matching(g: Graph) -> MatchingResult:
 
     A bipartite graph has a perfect matching iff the all-ones vector
     lies in its edge cone, i.e. iff every independent set is at most as
-    large as its neighbor set.  Positive answers carry a matching;
-    negative ones carry the violated independent set ``membership``
-    finds for the all-ones vector, from which no single vertex can be
-    dropped.
+    large as its neighbor set.  Positive answers carry some perfect
+    matching, deterministic for a fixed version of this library but not
+    canonical; negative ones carry the violated independent set
+    ``membership`` finds for the all-ones vector, from which no single
+    vertex can be dropped.
     """
     _require_bipartite(g, "perfect matching decision")
     ones = (1,) * g.vertex_count

@@ -220,6 +220,91 @@ def check_witness(g: Graph, x, violated) -> None:
     assert all(surplus(g, x, [u for u in a if u != v]) <= 0 for v in a)
 
 
+class EdmondsKarp:
+    """Reference maximum flow: one breadth-first search of the whole
+    residual network per augmenting path, arcs scanned in insertion
+    order.  Kept only to compare the library's blocking-flow engine
+    against."""
+
+    def __init__(self, nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_arc(self, u: int, v: int, capacity: int):
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(capacity)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _search(self, source: int, sink: int) -> list[int]:
+        """Residual breadth-first search to the sink: each node's entry arc."""
+        parent_arc = [-1] * len(self.adj)
+        parent_arc[source] = -2
+        queue = deque([source])
+        while queue and parent_arc[sink] == -1:
+            u = queue.popleft()
+            for arc in self.adj[u]:
+                v = self.to[arc]
+                if self.cap[arc] > 0 and parent_arc[v] == -1:
+                    parent_arc[v] = arc
+                    queue.append(v)
+        return parent_arc
+
+    def run(self, source: int, sink: int) -> int:
+        total = 0
+        while True:
+            parent_arc = self._search(source, sink)
+            if parent_arc[sink] == -1:
+                return total
+            path = []
+            v = sink
+            while v != source:
+                path.append(parent_arc[v])
+                v = self.to[parent_arc[v] ^ 1]
+            bottleneck = min(self.cap[arc] for arc in path)
+            for arc in path:
+                self.cap[arc] -= bottleneck
+                self.cap[arc ^ 1] += bottleneck
+            total += bottleneck
+
+    def reachable(self, source: int, sink: int) -> list[bool]:
+        """After ``run``: the source side of a minimum cut."""
+        return [arc != -1 for arc in self._search(source, sink)]
+
+
+def reference_hall_violator(g: Graph, point) -> tuple[int, ...] | None:
+    """Reference for the membership witness of a nonnegative integer
+    point: Edmonds-Karp on the bipartite double cover, then the
+    quadratic shrink that recomputes the neighbor set for every vertex
+    in every pass from the highest index down.  None for members."""
+    n = g.vertex_count
+    total = sum(point)
+    source, sink = 2 * n, 2 * n + 1
+    flow = EdmondsKarp(2 * n + 2)
+    for v in range(n):
+        flow.add_arc(source, v, point[v])
+        flow.add_arc(n + v, sink, point[v])
+    for i, j in g.edges:
+        flow.add_arc(i, n + j, total)
+        flow.add_arc(j, n + i, total)
+    if flow.run(source, sink) == total:
+        return None
+    reached = [v for v, hit in enumerate(flow.reachable(source, sink)[:n]) if hit]
+    members = sorted(set(reached) - set(neighbor_set(g, reached)))
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in sorted(members, reverse=True):
+            rest = [u for u in members if u != v]
+            neighbors = neighbor_set(g, rest)
+            if sum(point[u] for u in rest) > sum(point[u] for u in neighbors):
+                members, shrinking = rest, True
+    return tuple(members)
+
+
 def kuhn_maximum_matching(g: Graph) -> int:
     """Independent matching oracle: classical augmenting-path maximum
     matching on one side of the bipartition, no flow machinery."""

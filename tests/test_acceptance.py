@@ -94,10 +94,13 @@ def test_criterion_4_membership_agreement():
         rng = random.Random(9_000 + index)
         points = [tuple(v) for v in vectors]
         for _ in range(50):
-            coeffs = [Fraction(rng.randint(0, 6), rng.randint(1, 4))
-                      for _ in vectors]
-            points.append(tuple(sum(c * v[k] for c, v in zip(coeffs, vectors))
-                                for k in range(n)))
+            # coefficients a/b with b in 1..4, summed in twelfths
+            twelfths = [0] * n
+            for i, j in g.edges:
+                weight = rng.randint(0, 6) * (12 // rng.randint(1, 4))
+                twelfths[i] += weight
+                twelfths[j] += weight
+            points.append(tuple(Fraction(t, 12) for t in twelfths))
         for _ in range(50):
             points.append(tuple(Fraction(rng.randint(-4, 8), rng.randint(1, 3))
                                 for _ in range(n)))

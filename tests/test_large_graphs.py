@@ -2,11 +2,14 @@
 above the enumeration gate: every decision is polynomial and comes with
 a certificate that is checked here."""
 
+import random
+
 import pytest
 
-from edgecone import (has_perfect_matching, integer_decompose,
-                      is_independent, membership, neighbor_set)
-from battery import build, check_witness, cycle, path
+from edgecone import (GraphRequirementError, has_perfect_matching,
+                      integer_decompose, is_independent, membership,
+                      neighbor_set)
+from battery import build, check_witness, cycle, path, random_connected
 
 
 def shared_neighbor_graph(n: int):
@@ -26,9 +29,26 @@ def test_long_odd_cycle_membership():
         check_witness(g, x, verdict.violated)
 
 
+def test_sparse_random_graph_membership():
+    g = random_connected(2000, random.Random(1), 0.002)
+    ones = (1,) * g.vertex_count
+    assert membership(g, ones).is_member
+    leaf = next(v for v in range(g.vertex_count) if len(g.neighbors[v]) == 1)
+    x = ones[:leaf] + (2,) + ones[leaf + 1:]  # the leaf outweighs its neighbor
+    verdict = membership(g, x)
+    assert not verdict.is_member
+    check_witness(g, x, verdict.violated)
+    assert not g.is_bipartite()
+    with pytest.raises(GraphRequirementError):
+        has_perfect_matching(g)
+    with pytest.raises(GraphRequirementError):
+        integer_decompose(g, ones)
+
+
 @pytest.mark.parametrize("g, matchable", [
-    (path(200), True), (path(199), False), (shared_neighbor_graph(60), False)],
-    ids=["path200", "path199", "shared_neighbor60"])
+    (path(200), True), (path(199), False), (shared_neighbor_graph(60), False),
+    (cycle(800), True), (path(801), False)],
+    ids=["path200", "path199", "shared_neighbor60", "cycle800", "path801"])
 def test_bipartite_decisions_with_certificates(g, matchable):
     n = g.vertex_count
     ones = (1,) * n

@@ -1,10 +1,13 @@
-"""Property tests on random graphs with at most 7 vertices.
+"""Property tests on random graphs with at most 7 vertices (8 for the
+witness comparison).
 
 Three independent membership paths must agree: the library's max-flow,
 the exhaustive scan over independent sets and the Fourier-Motzkin
-oracle.  Three facet enumerations must agree too: the library's rank
-criterion, the brute-force oracle and, on connected bipartite graphs,
-the two-sided connectivity rule.  Every certificate the library returns
+oracle, and the library's membership witness must equal the one an
+Edmonds-Karp flow with the quadratic shrink finds.  Three facet
+enumerations must agree too: the library's rank criterion, the
+brute-force oracle and, on connected bipartite graphs, the two-sided
+connectivity rule.  Every certificate the library returns
 is checked directly.  Examples are derandomized, so every run tests the
 same inputs.
 """
@@ -14,19 +17,20 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from edgecone import (brute_force_facet_generator_sets, edge_vectors, facets,
-                      fm_membership, has_perfect_matching, integer_decompose,
-                      is_independent, membership, neighbor_set)
+from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
+                      edge_vectors, facets, fm_membership, has_perfect_matching,
+                      integer_decompose, is_independent, membership,
+                      neighbor_set)
 from battery import (build, check_witness, combinatorial_facet_sets,
-                     scan_membership)
+                     reference_hall_violator, scan_membership)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
 
 @st.composite
-def graphs(draw, bipartite=False):
-    n = draw(st.integers(1, 7))
+def graphs(draw, bipartite=False, max_vertices=7):
+    n = draw(st.integers(1, max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     if bipartite:
         side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -83,6 +87,22 @@ def test_flow_scan_and_elimination_agree(case):
         assert flow.violated is None
     else:
         check_witness(g, x, flow.violated)
+
+
+@PROPERTY
+@given(graphs(max_vertices=8), st.data())
+def test_membership_witness_matches_edmonds_karp_reference(g, data):
+    # the residual graph reaches the source side of the minimal minimum
+    # cut for every maximum flow, so the witness cannot depend on the
+    # flow the engine finds
+    point = tuple(data.draw(st.lists(st.integers(0, 4), min_size=g.vertex_count,
+                                     max_size=g.vertex_count)))
+    expected = reference_hall_violator(g, point)
+    verdict = membership(g, point)
+    if expected is None:
+        assert verdict.is_member
+    else:
+        assert verdict.violated.plane.tag == IndependentSetTag(expected)
 
 
 @PROPERTY
