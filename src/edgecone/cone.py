@@ -12,14 +12,12 @@ from graph combinatorics; exact elimination runs only in the oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
                     bipartite_component_count, independent_sets, vertex_set)
-from .rational import Rational, dot, is_primitive
+from .rational import Rational, clear_denominators, dot, is_primitive
 
 SENSE_GE = ">=0"
 SENSE_LE = "<=0"
@@ -157,16 +155,11 @@ def full_representation(g: Graph,
     one halfspace per nonempty independent set, plus the affine hull.
 
     Halfspaces are ordered coordinates-by-index first, then independent
-    sets lexicographically; equal-normal independent-set duplicates keep
-    the lexicographically smallest set (none arise for simple graphs,
-    the dedup is a stability guarantee).
+    sets lexicographically.
     """
     coords = [coordinate_halfspace(g, v) for v in range(g.vertex_count)]
-    by_normal: dict[tuple[int, ...], Halfspace] = {}
-    for a in independent_sets(g, max_vertices):
-        h = independent_set_halfspace(g, a)
-        by_normal.setdefault(h.plane.normal, h)
-    sets = sorted(by_normal.values(), key=lambda h: h.plane.tag.vertices)
+    sets = [independent_set_halfspace(g, a)
+            for a in sorted(independent_sets(g, max_vertices))]
     return ConeRepresentation(affine_hull(g), tuple(coords + sets), "full")
 
 
@@ -182,18 +175,6 @@ class MembershipResult:
 
     def __bool__(self) -> bool:
         return self.is_member
-
-
-def _clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
-    """Positive rescale to integers; all cone constraints are homogeneous,
-    so satisfaction is unchanged.  Only ``int`` and ``Fraction``
-    coordinates are exact: floats, bools and strings are rejected."""
-    for c in x:
-        if type(c) not in (int, Fraction):
-            raise ValueError(
-                f"coordinates must be int or Fraction, got {type(c).__name__} {c!r}")
-    scale = math.lcm(*(c.denominator for c in x))
-    return tuple(c.numerator * (scale // c.denominator) for c in x)
 
 
 class _MaxFlow:
@@ -350,7 +331,7 @@ def membership(g: Graph, x: Sequence[Rational]) -> MembershipResult:
     if len(x) != g.vertex_count:
         raise ValueError(
             f"vector has dimension {len(x)}, graph has {g.vertex_count} vertices")
-    point = _clear_denominators(x)
+    point = clear_denominators(x)
     for v, c in enumerate(point):
         if c < 0:
             return MembershipResult(False, coordinate_halfspace(g, v))

@@ -12,6 +12,11 @@ in the package:
   point space and are cached per generator tuple (for the most recent
   ``_CACHE_SIZE`` tuples).
 
+Generators and points pass ``clear_denominators`` on entry; a positive
+rescale of a generator leaves the cone and the generator indices
+unchanged.  From there on all arithmetic, elimination included, is on
+integers.
+
 The gates here are deliberately tight: the oracle exists for
 verification, not production.
 """
@@ -26,12 +31,12 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .cone import Hyperplane, membership, _clear_denominators
+from .cone import Hyperplane, cone_dimension, membership
 from .errors import EnumerationGateError
 from .facets import facets
-from .graph import DEFAULT_MAX_VERTICES, Graph, bipartite_component_count, edge_vectors
-from .rational import (Rational, dot, integer_kernel, primitive, rational_rank,
-                       rref)
+from .graph import DEFAULT_MAX_VERTICES, Graph, edge_vectors
+from .rational import (Rational, clear_denominators, dot, integer_kernel,
+                       integer_rref, primitive, rational_rank)
 
 ORACLE_MAX_GENERATORS = 24
 ORACLE_MAX_DIMENSION = 10
@@ -51,7 +56,7 @@ def _check_gate(generators, dimension: int):
 
 
 def _as_int_tuples(generators) -> tuple[tuple[int, ...], ...]:
-    gens = tuple(tuple(int(c) for c in g) for g in generators)
+    gens = tuple(clear_denominators(g) for g in generators)
     if gens:
         width = len(gens[0])
         for g in gens:
@@ -84,12 +89,13 @@ def _facet_data(generators: tuple[tuple[int, ...], ...]):
     orthogonal to the subset.  Cones of rank <= 1 have no facet besides
     the apex.
 
-    All arithmetic is on integers.  The span maps one-to-one onto its
-    pivot coordinates, so functionals are scanned as integer kernels of
-    the generators projected onto those d coordinates.
+    All arithmetic is on integers: one ``integer_rref`` per generator
+    tuple gives the span's basis and pivot coordinates.  The span maps
+    one-to-one onto its pivot coordinates, so functionals are scanned as
+    integer kernels of the generators projected onto those d coordinates.
     """
     gens = list(generators)
-    reduced, pivots = rref(gens)
+    reduced, pivots = integer_rref(gens, len(gens[0]) if gens else 0)
     d = len(pivots)
     if d <= 1:
         return ()
@@ -164,13 +170,13 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
     # Equalities sum_i t_i g_i[v] - x_v = 0 over columns (t_0..t_{q-1}, x_0..x_{n-1}).
     equalities = []
     for v in range(n):
-        row = [Fraction(g[v]) for g in generators] + [Fraction(0)] * n
-        row[q + v] = Fraction(-1)
+        row = [g[v] for g in generators] + [0] * n
+        row[q + v] = -1
         equalities.append(row)
-    reduced, pivots = rref(equalities)
+    reduced, pivots = integer_rref(equalities, q + n)
 
     outputs: set[tuple[int, ...]] = set()
-    pivot_rows: dict[int, Sequence[Fraction]] = {}
+    pivot_rows: dict[int, list[int]] = {}
     for row, piv in zip(reduced, pivots):
         if piv < q:
             pivot_rows[piv] = row
@@ -184,16 +190,17 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
     width = len(free) + n
 
     def seed(i: int) -> tuple[tuple[int, ...], frozenset[int]]:
-        row = [Fraction(0)] * width
+        row = [0] * width
         if i in pivot_rows:
-            # t_i >= 0 with t_i substituted from its equality row.
+            # t_i >= 0 with t_i substituted from its equality row, whose
+            # pivot entry is positive.
             src = pivot_rows[i]
             for j in free:
                 row[index_of[j]] = -src[j]
             for v in range(n):
                 row[len(free) + v] = -src[q + v]
         else:
-            row[index_of[i]] = Fraction(1)
+            row[index_of[i]] = 1
         return primitive(row) if any(row) else None, frozenset([i])
 
     rows: dict[tuple[int, ...], frozenset[int]] = {}
@@ -250,7 +257,7 @@ def fm_membership(generators, x: Sequence[Rational]) -> bool:
         raise ValueError(
             f"vector has dimension {n}, generators have {len(gens[0])}")
     _check_gate(gens, n)
-    point = _clear_denominators(x)
+    point = clear_denominators(x)
     return all(dot(row, point) >= 0 for row in _projection_rows(gens, n))
 
 
@@ -298,7 +305,7 @@ def cross_validate(g: Graph, combinations: int = 25, random_points: int = 25,
     coincide as generator sets, (2) the flow membership and the
     Fourier-Motzkin membership agree on edge vectors, random
     nonnegative combinations, random points and the all-ones vector, and
-    (3) the component-count dimension formula matches the exact rank.
+    (3) ``cone_dimension``'s component-count formula matches the rank.
     Failures are reported with a minimal witness, not raised.
     """
     vectors = edge_vectors(g)
@@ -333,7 +340,7 @@ def cross_validate(g: Graph, combinations: int = 25, random_points: int = 25,
                   f"flow says {lib}, elimination says {orc}")
     checks.append(Check("membership", disagreement is None, detail))
 
-    formula = g.vertex_count - bipartite_component_count(g)
+    formula = cone_dimension(g)
     rank = rational_rank(vectors)
     checks.append(Check(
         "dimension", formula == rank,

@@ -1,8 +1,11 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here works over ``int`` and ``fractions.Fraction`` only; no
-floating point is used anywhere in the package.  The library computes
-ranks from graph combinatorics; elimination here serves the oracle.
+Input is ``int`` or ``fractions.Fraction`` only; no floating point is
+used anywhere in the package.  Fractions enter through
+``clear_denominators`` and become integers there, so the one
+elimination routine, ``integer_rref``, runs on integers alone.  The
+library computes ranks from graph combinatorics; elimination here
+serves the oracle.
 """
 
 from __future__ import annotations
@@ -20,20 +23,32 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum(a * b for a, b in zip(u, v))
 
 
+def clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
+    """Positive rescale to integers, the one exact-input gate.
+
+    Callers ask only what a positive rescale keeps: a direction, a rank,
+    membership in a cone or the cone a generator spans.  Only ``int``
+    and ``Fraction`` entries are exact: floats, bools and strings are
+    rejected, not converted.
+    """
+    for c in x:
+        if type(c) not in (int, Fraction):
+            raise ValueError(
+                f"coordinates must be int or Fraction, got {type(c).__name__} {c!r}")
+    scale = math.lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (scale // c.denominator) for c in x)
+
+
 def primitive(vector: Sequence[Rational]) -> tuple[int, ...]:
     """Smallest integer vector with the same direction.
 
     The result has coprime nonzero entries and keeps the sign of the
     input (no orientation flip).  An ``int`` vector needs only its gcd;
-    any other entry makes every entry go through ``Fraction``.
+    any other goes through ``clear_denominators`` first.
     """
     if not any(vector):
         raise ValueError("zero vector has no primitive form")
-    if all(type(c) is int for c in vector):
-        ints = vector
-    else:
-        scale = math.lcm(*(Fraction(c).denominator for c in vector))
-        ints = [int(c * scale) for c in vector]
+    ints = vector if all(type(c) is int for c in vector) else clear_denominators(vector)
     g = math.gcd(*ints)
     return tuple(ints) if g == 1 else tuple(c // g for c in ints)
 
@@ -42,89 +57,16 @@ def is_primitive(vector: Sequence[Rational]) -> bool:
     return any(vector) and tuple(vector) == primitive(vector)
 
 
-def _integer_rows(vectors: Sequence[Sequence[Rational]]) -> list[list[int]]:
-    """Clear denominators row by row (rank-preserving), dropping zero rows."""
-    rows = []
-    for v in vectors:
-        if any(v):
-            if all(type(c) is int for c in v):
-                rows.append(list(v))
-            else:
-                scale = math.lcm(*(Fraction(c).denominator for c in v))
-                rows.append([int(c * scale) for c in v])
-    return rows
+def integer_rref(rows: Sequence[Sequence[int]],
+                 ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an ``ncols``-column integer matrix,
+    kept on integers: the nonzero rows and their pivot columns.
 
-
-def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
-    """Rank over the rationals via exact fraction-free elimination."""
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return 0
-    ncols = len(vecs[0])
-    for v in vecs:
-        if len(v) != ncols:
-            raise ValueError(f"dimension mismatch: {len(v)} vs {ncols}")
-    rows = _integer_rows(vecs)
-
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                p = lead[col]
-                new = [p * a - f * b for a, b in zip(rows[i], lead)]
-                g = math.gcd(*new)
-                rows[i] = [c // g for c in new] if g > 1 else new
-        rank += 1
-        col += 1
-    return rank
-
-
-def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns the nonzero rows (leading coefficient 1, pivot columns
-    cleared elsewhere) and the list of pivot column indices.
-    """
-    mat = [[Fraction(c) for c in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [c * inv for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
-    """Primitive integer vector spanning the right kernel {x : A x = 0} of
-    an ``ncols``-column integer matrix, or None when that kernel is not
-    one-dimensional.
-
-    Fraction-free Gauss-Jordan: each row combination ``p * row - f * lead``
-    is divided by its gcd, so entries stay small integers.  The sign of
-    the result is unspecified.
+    Fraction-free Gauss-Jordan (Bareiss 1968): each row combination
+    ``p * row - f * lead`` is divided by its gcd, so entries stay small
+    integers.  Zero rows are dropped, and every returned row is a
+    positive integer multiple of the true reduced row (its pivot is
+    positive and every other pivot column is zero).
     """
     mat = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
@@ -145,6 +87,30 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]
         pivots.append(col)
         if len(pivots) == len(mat):
             break
+    for k, col in enumerate(pivots):
+        if mat[k][col] < 0:
+            mat[k] = [-c for c in mat[k]]
+    return mat[:len(pivots)], pivots
+
+
+def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
+    """Rank over the rationals via exact fraction-free elimination."""
+    vecs = [tuple(v) for v in vectors]
+    if not vecs:
+        return 0
+    ncols = len(vecs[0])
+    for v in vecs:
+        if len(v) != ncols:
+            raise ValueError(f"dimension mismatch: {len(v)} vs {ncols}")
+    return len(integer_rref([primitive(v) for v in vecs if any(v)], ncols)[1])
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:
+    """Primitive integer vector spanning the right kernel {x : A x = 0} of
+    an ``ncols``-column integer matrix, or None when that kernel is not
+    one-dimensional.  The sign of the result is unspecified.
+    """
+    mat, pivots = integer_rref(rows, ncols)
     if ncols - len(pivots) != 1:
         return None
     (free,) = set(range(ncols)).difference(pivots)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
 from edgecone import (CoordinateTag, Graph, edge_vectors,
@@ -218,6 +219,35 @@ def check_witness(g: Graph, x, violated) -> None:
     assert all(c >= 0 for c in x)
     assert is_independent(g, a) and surplus(g, x, a) > 0
     assert all(surplus(g, x, [u for u in a if u != v]) <= 0 for v in a)
+
+
+def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reference reduced row echelon form over ``Fraction``: the nonzero
+    rows (leading coefficient 1, pivot columns cleared elsewhere) and
+    their pivot columns.  Kept only to compare the library's integer
+    elimination against."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [c * inv for c in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 class EdmondsKarp:

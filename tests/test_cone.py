@@ -1,9 +1,7 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       IndependentSetTag, affine_hull, cone_dimension,
@@ -11,8 +9,7 @@ from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       full_representation, independent_set_halfspace,
                       independent_sets, membership, neighbor_set, parse_graph,
                       rational_rank)
-from edgecone.cone import (SENSE_GE, SENSE_LE, Halfspace, Hyperplane,
-                          _clear_denominators)
+from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
 from battery import (build, complete_bipartite, cycle, path, random_connected,
                      star, standard_battery)
 
@@ -172,23 +169,6 @@ def test_membership_rejects_inexact_coordinates(inexact):
 def test_fm_membership_rejects_floats():
     with pytest.raises(ValueError, match="int or Fraction"):
         fm_membership(edge_vectors(SINGLE), (0.5, 0.5))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.one_of(
-    st.integers(-10 ** 12, 10 ** 12),
-    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 9)), max_size=8))
-def test_clear_denominators_equals_the_fraction_route(x):
-    scale = math.lcm(*(Fraction(c).denominator for c in x))
-    cleared = _clear_denominators(x)
-    assert cleared == tuple(int(c * scale) for c in x)
-    assert all(type(c) is int for c in cleared)
-
-
-def test_clear_denominators_rejects_inexact_types():
-    for inexact in (0.5, "1", True, None):
-        with pytest.raises(ValueError, match="int or Fraction"):
-            _clear_denominators((1, Fraction(1, 2), inexact))
 
 
 def test_edge_vectors_and_combinations_are_members():

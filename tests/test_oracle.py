@@ -93,6 +93,32 @@ def test_fm_membership_dimension_check():
         fm_membership(edge_vectors(TRIANGLE), (1, 1))
 
 
+def test_oracle_reads_fraction_generators_exactly():
+    # (1, 1) = 2 * g0 + g1; truncating 1/2 to 0 would lose g0
+    halves = [(Fraction(1, 2), 0), (0, 1)]
+    assert fm_membership(halves, (1, 1))
+    assert not fm_membership(halves, (-1, 1))
+    assert brute_force_facet_generator_sets(halves) == {
+        frozenset({0}), frozenset({1})}
+    assert brute_force_facets(halves) == brute_force_facets([(1, 0), (0, 1)])
+    # a positive rescale changes neither the cone nor the generator indices
+    vectors = edge_vectors(K13)
+    scaled = [tuple(Fraction(c, k + 2) for c in v) for k, v in enumerate(vectors)]
+    assert (brute_force_facet_generator_sets(scaled)
+            == brute_force_facet_generator_sets(vectors))
+    assert fm_membership(scaled, (1, 1, 1, 3))
+    assert not fm_membership(scaled, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("inexact", [1.9, "3", True])
+def test_oracle_rejects_inexact_generators(inexact):
+    generators = [(inexact, 0), (0, 1)]
+    for call in (brute_force_facets, brute_force_facet_generator_sets,
+                 lambda gens: fm_membership(gens, (1, 1))):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            call(generators)
+
+
 def test_fm_membership_on_random_combinations():
     rng = random.Random(59)
     for trial in range(15):

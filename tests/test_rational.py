@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecone import rational_rank
-from edgecone.rational import dot, integer_kernel, is_primitive, primitive, rref
+from edgecone.rational import (clear_denominators, dot, integer_kernel,
+                               integer_rref, is_primitive, primitive)
+from battery import fraction_rref
 
 
 def test_rank_triangle_incidence_columns():
@@ -87,9 +89,13 @@ def test_primitive_equals_the_cleared_route(kind):
 
 def test_rref_and_nullspace():
     rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
-    reduced, pivots = rref(rows)
-    assert pivots == [0, 1]
-    assert reduced == [[1, 0, 1], [0, 1, 1]]
+    assert fraction_rref(rows) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    assert integer_rref(rows, 3) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    # rows stay integer: a positive multiple of each reduced row
+    assert integer_rref([(0, 2, 3), (-4, 0, 1)], 3) == (
+        [[4, 0, -1], [0, 2, 3]], [0, 1])
+    assert integer_rref([], 2) == ([], [])
+    assert integer_rref([(0, 0)], 2) == ([], [])
     vec = integer_kernel(rows, 3)
     assert vec in ((1, 1, -1), (-1, -1, 1))
     for row in rows:
@@ -116,7 +122,7 @@ def test_integer_kernel_hand_built():
 
 def _kernel_by_rref(rows, ncols):
     """The kernel through Fraction ``rref``, when it is one-dimensional."""
-    reduced, pivots = rref(rows)
+    reduced, pivots = fraction_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     if len(free) != 1:
         return None
@@ -143,3 +149,48 @@ def test_integer_kernel_equals_the_rref_route():
             assert all(type(c) is int for c in got)
             assert all(dot(row, got) == 0 for row in rows)
     check()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.tuples(st.lists(
+    st.lists(st.integers(-40, 40), min_size=ncols, max_size=ncols),
+    max_size=ncols + 2), st.just(ncols))))
+def test_integer_rref_is_a_positive_multiple_of_the_fraction_rref(case):
+    rows, ncols = case
+    reference, expected_pivots = fraction_rref(rows)
+    reduced, pivots = integer_rref(rows, ncols)
+    assert pivots == expected_pivots
+    assert len(reduced) == len(reference)
+    for row, ref, piv in zip(reduced, reference, pivots):
+        scale = row[piv]
+        assert type(scale) is int and scale > 0
+        assert all(type(c) is int for c in row)
+        assert row == [scale * c for c in ref]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(st.lists(
+    st.one_of(st.integers(-12, 12),
+              st.builds(Fraction, st.integers(-72, 72), st.integers(1, 6))),
+    min_size=ncols, max_size=ncols), max_size=ncols + 2)))
+def test_rank_equals_the_fraction_rref_pivot_count(rows):
+    assert rational_rank(rows) == len(fraction_rref(rows)[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(
+    st.integers(-10 ** 12, 10 ** 12),
+    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 9)), max_size=8))
+def test_clear_denominators_equals_the_fraction_route(x):
+    scale = math.lcm(*(Fraction(c).denominator for c in x))
+    cleared = clear_denominators(x)
+    assert cleared == tuple(int(c * scale) for c in x)
+    assert all(type(c) is int for c in cleared)
+
+
+def test_clear_denominators_rejects_inexact_types():
+    for inexact in (0.5, "1", True, None):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            clear_denominators((1, Fraction(1, 2), inexact))
+        with pytest.raises(ValueError, match="int or Fraction"):
+            primitive((Fraction(1, 2), inexact))
