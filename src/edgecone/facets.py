@@ -14,20 +14,29 @@ side-2 vertices.
 Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
 same facet, so normals alone are not a usable identity.
+
+The candidates are the coordinate hyperplanes and the closed
+independent sets, the independent extents of the formal concepts of the
+non-adjacency relation (Ganter and Wille 1999), which Close-by-One lists
+on vertex bitmasks; ``facets`` proves that no other set is needed.
+Each candidate is decided from bitmasks of its vertices and edges, and
+a ``Halfspace`` is built only for the tag that a facet keeps, so the
+cost follows the number of closed sets, not the number of independent
+sets (``full_representation`` still lists all of those).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
-                   IndependentSetTag, affine_hull, cone_dimension,
+                   IndependentSetTag, Tag, affine_hull, cone_dimension,
                    coordinate_halfspace, independent_set_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, independent_sets,
-                    is_independent, neighbor_set, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, adjacency_masks,
+                    check_gate, is_independent, neighbor_set, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -118,31 +127,125 @@ def is_facet(g: Graph, h: Hyperplane | Halfspace) -> bool:
     return face_dimension(g, h) == dim - 1
 
 
-def _candidate_halfspaces(g: Graph, max_vertices: int):
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _closed_sets(masks: Sequence[int], universe: int) -> Iterator[tuple[int, int]]:
+    """Close-by-One (Kuznetsov 1993) over the vertices of ``universe``:
+    every nonempty independent set ``A`` inside ``universe`` that is
+    closed, ``A = {u in universe : N(u) <= N(A)}``, exactly once, as the
+    bitmasks ``(A, N(A))``.  ``universe`` holds no isolated vertex, so
+    the empty set is closed.
+
+    A closed ``A`` is extended by each ``j`` above its last extension and
+    outside ``A``, and the closure of ``A + {j}`` is kept only if it adds
+    no vertex below ``j``; that canonicity test reaches every closed set
+    from exactly one parent.  The closure of an independent ``X`` is
+    independent: if members ``u`` and ``v`` were adjacent, ``v`` would
+    lie in ``N(u) <= N(X)``, next to some ``x`` in ``X``, and ``x`` would
+    lie in ``N(v) <= N(X)``, next to a vertex of ``X``.  A dependent
+    set has no independent superset, so extensions by ``j`` in ``N(A)``
+    are pruned and members are sought outside ``N(A + {j})`` only.
+    """
+    stack = [(0, 0, 0)]  # (closed set, its neighborhood, lowest extension)
+    while stack:
+        a, na, start = stack.pop()
+        if a:
+            yield a, na
+        free = universe & ~(a | na) & -(1 << start)
+        while free:
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
+            nc = na | masks[j]
+            closure = a | low
+            rest = universe & ~(closure | nc)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not masks[bit.bit_length() - 1] & ~nc:
+                    if bit < low:
+                        break  # not canonical: reached from another parent
+                    closure |= bit
+            else:
+                stack.append((closure, nc, j + 1))
+
+
+def _union(table: Sequence[int], mask: int) -> int:
+    """The union of the bitmasks ``table[v]`` over the set bits ``v`` of
+    ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= table[low.bit_length() - 1]
+    return out
+
+
+def _candidates(g: Graph, max_vertices: int, sets):
+    """The candidates of ``facets`` and ``canonical_representation``:
+    every coordinate, then each independent set that ``sets(g, masks)``
+    yields from the adjacency bitmasks as ``(A, N(A), tag)`` bitmasks,
+    each with the bitmask of the edges on its hyperplane.  Those are the
+    edges from ``A`` to ``N(A)`` and the ones inside the rest, that is
+    every edge but the ones that touch ``N(A)`` and miss ``A``."""
+    check_gate(g, max_vertices)
+    masks = adjacency_masks(g)
+    incident = [0] * g.vertex_count  # edges at each vertex
+    for idx, (i, j) in enumerate(g.edges):
+        incident[i] |= 1 << idx
+        incident[j] |= 1 << idx
+    everything = (1 << len(g.edges)) - 1
     for v in range(g.vertex_count):
-        yield coordinate_halfspace(g, v)
-    for a in independent_sets(g, max_vertices):
-        yield independent_set_halfspace(g, a)
+        yield everything & ~incident[v], CoordinateTag(v)
+    for a, na, tag in sets(g, masks):
+        yield everything & ~(_union(incident, na) & ~_union(incident, a)), tag
 
 
-def _facet_groups(g: Graph, candidates: Iterable[Halfspace]
-                  ) -> dict[tuple[int, ...], list[Halfspace]]:
-    """The facet-cutting halfspaces among ``candidates`` (not read when the
-    cone has dimension at most 1), grouped by the facet's generator set."""
+def _facet_sets(g: Graph, masks: Sequence[int]):
+    """The nonempty closed independent sets of the non-isolated vertices,
+    each tagged with the isolated vertices below its largest member
+    added (see ``facets``)."""
+    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+    for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated):
+        below = (1 << (a.bit_length() - 1)) - 1
+        yield a, na, a | isolated & below
+
+
+def _facet_groups(g: Graph, candidates: Iterable[tuple[int, Tag | int]]
+                  ) -> dict[int, list[Tag]]:
+    """The tags of the facet-cutting ``candidates`` (not read when the
+    cone has dimension at most 1), grouped by the facet's generator set.
+    A candidate is the bitmask of the edges on its hyperplane and a tag
+    or, for an independent set, the bitmask of its vertices; tags are
+    built for facet cutters only."""
     dim = cone_dimension(g)
     if dim <= 1:
         return {}
-    groups: dict[tuple[int, ...], list[Halfspace]] = {}
-    for h in candidates:
-        on, _, _ = _side_split(g, h.plane.normal)
+    groups: dict[int, list[Tag]] = {}
+    for on, tag in candidates:
         # the rank never exceeds the edge count
-        if len(on) >= dim - 1 and _edge_rank(g, on) == dim - 1:
-            groups.setdefault(on, []).append(h)
+        if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
+            if isinstance(tag, int):
+                tag = IndependentSetTag(tuple(_members(tag)))
+            groups.setdefault(on, []).append(tag)
     return groups
 
 
-def _tag_sort_key(h: Halfspace):
-    tag = h.plane.tag
+def _halfspace(g: Graph, tag: Tag) -> Halfspace:
+    if isinstance(tag, CoordinateTag):
+        return coordinate_halfspace(g, tag.vertex)
+    return independent_set_halfspace(g, tag.vertices)
+
+
+def _tag_sort_key(tag: Tag):
     if isinstance(tag, CoordinateTag):
         return (0, tag.vertex, ())
     return (1, -1, tag.vertices)
@@ -156,17 +259,65 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     coordinate tag (smallest index) is preferred, then the
     lexicographically smallest set.  Output order: coordinate-tagged
     facets by index, then set-tagged facets lexicographically.
+
+    Only the closed sets need testing: independent sets ``A`` such that
+    every non-isolated ``u`` with ``N(u) <= N(A)`` lies in ``A``.  Let
+    ``R = V - A - N(A)``.  An edge lies on ``A``'s hyperplane iff it
+    joins ``A`` to ``N(A)`` or lies inside ``R``; call the graph of those
+    edges ``H``, on all of ``V``.  The face has rank ``n`` minus the
+    bipartite components of ``H`` and the cone has dimension ``n`` minus
+    those of the graph (isolated vertices count as components).  The
+    edges of ``H`` inside a component ``C`` of the graph have rank at
+    most that of ``C``'s edges, so ``C`` holds at least as many
+    bipartite components of ``H`` as of the graph (one or none), and
+    ``A`` cuts a facet iff exactly one ``C`` holds one more.  The
+    ``A``-``N(A)`` edges form bipartite components of ``H``, and a
+    component of the graph that misses ``A`` lies in ``R`` and holds
+    the same components in both.
+
+    Now let ``u`` outside ``A`` be non-isolated with ``N(u) <= N(A)``,
+    in the component ``C``.  Then ``u`` lies in ``R`` (a neighbor of
+    ``u`` in ``A`` would lie in ``N(A)``, next to a member of ``A``),
+    all its edges reach ``N(A)`` and are off the hyperplane, so ``u`` is
+    a component of ``H`` by itself, and its neighbors lie in a further
+    one, of ``A``-``N(A)`` edges inside ``C``.  That is at least one
+    more than ``C`` holds in the graph if ``C`` is bipartite and at
+    least two if not.  So ``A`` cuts a facet only if ``C`` is bipartite,
+    meets ``R`` in ``u`` alone (every piece of ``R`` in ``C`` is a
+    bipartite component of ``H``) and has connected ``A``-``N(A)``
+    edges, while every other component meeting ``A`` is bipartite, lies
+    inside ``A + N(A)`` and has connected ``A``-``N(A)`` edges.  For a connected graph that is
+    ``A + N(A) = V - {u}``, and it can happen in a disconnected one
+    too.  Then no edge joins two vertices of ``N(A)`` (they lie at even
+    distance in a connected bipartite piece, so the edge would close an
+    odd cycle), and ``u`` is the only vertex of ``R`` next to ``N(A)``,
+    so the edges off the hyperplane are exactly those of ``u``: the
+    coordinate ``x_u`` cuts the same facet and its tag takes precedence.
+
+    Isolated vertices touch no edge, so adding them to ``A`` or removing
+    them leaves the face as it is, and a set of isolated vertices alone
+    puts every edge on its hyperplane, which cuts the whole cone and no
+    facet.  The smallest tag among the sets cutting a facet that no
+    coordinate cuts is therefore a closed set of non-isolated vertices
+    plus each isolated vertex below its largest member: each such vertex
+    makes the tuple smaller, each one above makes it longer and so
+    larger.  Close-by-One lists the closed sets, so the cost follows
+    their number, not the number of independent sets.
     """
     result = []
-    groups = _facet_groups(g, _candidate_halfspaces(g, max_vertices))
-    for on, candidates in groups.items():
-        chosen = min(candidates, key=_tag_sort_key)
-        result.append(Facet(chosen, on))
-    result.sort(key=lambda f: _tag_sort_key(f.halfspace))
+    groups = _facet_groups(g, _candidates(g, max_vertices, _facet_sets))
+    for on, tags in groups.items():
+        tag = min(tags, key=_tag_sort_key)
+        result.append(Facet(_halfspace(g, tag), tuple(_members(on))))
+    result.sort(key=lambda f: _tag_sort_key(f.halfspace.plane.tag))
     return tuple(result)
 
 
 def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
+    if not g.vertices:
+        raise GraphRequirementError(
+            "operation requires a connected bipartite graph, got one "
+            "with no vertices")
     if not g.is_connected() or not g.is_bipartite():
         raise GraphRequirementError(
             "operation requires a connected bipartite graph")
@@ -241,43 +392,60 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     return independent_set_halfspace(g, complement)
 
 
-def _canonical_halfspace(g: Graph, candidates: list[Halfspace],
-                         side1: VertexSet, side2: VertexSet) -> Halfspace:
+def _canonical_tag(tags: list[Tag], side1: VertexSet, side2: VertexSet) -> Tag:
     """Pick the unique canonical tag of one facet: a side-2 coordinate if
     available, else the single independent set strictly inside side 1."""
-    side2_coords = [h for h in candidates
-                    if isinstance(h.plane.tag, CoordinateTag)
-                    and h.plane.tag.vertex in side2]
+    side2_coords = [t for t in tags
+                    if isinstance(t, CoordinateTag) and t.vertex in side2]
     if side2_coords:
         return min(side2_coords, key=_tag_sort_key)
-    side1_sets = [h for h in candidates
-                  if isinstance(h.plane.tag, IndependentSetTag)
-                  and set(h.plane.tag.vertices) < set(side1)]
+    side1_sets = [t for t in tags
+                  if isinstance(t, IndependentSetTag)
+                  and set(t.vertices) < set(side1)]
     if len(side1_sets) != 1:
         raise AssertionError(
-            f"expected exactly one side-1 tag per facet, got "
-            f"{[h.plane.tag for h in side1_sets]}")
+            f"expected exactly one side-1 tag per facet, got {side1_sets}")
     return side1_sets[0]
 
 
-def _canonical(g: Graph, candidates: Iterable[Halfspace]) -> ConeRepresentation:
+def _canonical(g: Graph, candidates: Iterable[tuple[int, Tag | int]]
+               ) -> ConeRepresentation:
     """Canonical representation of a connected bipartite graph from the
-    facets among ``candidates``.  Sets meeting both sides are skipped:
-    each is the sum of two one-sided ones and cuts no facet they miss."""
+    facets among ``candidates``, each with the edges on its hyperplane."""
     side1, side2 = g.bipartitions[0]
     equations = affine_hull(g)
     if cone_dimension(g) <= 1:
         halfspaces = tuple(coordinate_halfspace(g, v) for v in side2)
         return ConeRepresentation(equations, halfspaces, "canonical_bipartite")
-    set1, set2 = set(side1), set(side2)
-    one_sided = (h for h in candidates
-                 if not isinstance(h.plane.tag, IndependentSetTag)
-                 or set1.isdisjoint(h.plane.tag.vertices)
-                 or set2.isdisjoint(h.plane.tag.vertices))
-    chosen = [_canonical_halfspace(g, group, side1, side2)
-              for group in _facet_groups(g, one_sided).values()]
+    chosen = [_canonical_tag(tags, side1, side2)
+              for tags in _facet_groups(g, candidates).values()]
     chosen.sort(key=_tag_sort_key)
-    return ConeRepresentation(equations, tuple(chosen), "canonical_bipartite")
+    return ConeRepresentation(equations, tuple(_halfspace(g, t) for t in chosen),
+                              "canonical_bipartite")
+
+
+def _one_sided_sets(g: Graph, masks: Sequence[int]):
+    """The closed sets inside each side of a connected bipartite graph,
+    then the sets ``side1 - {u}`` that are not closed.
+
+    Sets meeting both sides are left out: each is the sum of two
+    one-sided ones and cuts no facet they miss.  The closure of a
+    one-sided set stays on its side (a vertex of the other side has its
+    neighbors on this one, outside ``N(A)``), so each side is walked
+    alone.  A one-sided set that cuts a facet and is not closed is, by
+    the proof in ``facets``, ``side - {u}`` with ``x_u`` cutting the same
+    facet; on side 2 that coordinate is the canonical tag, on side 1 the
+    set is.
+    """
+    side1, side2 = (sum(1 << v for v in side) for side in g.bipartitions[0])
+    for side in (side1, side2):
+        for a, na in _closed_sets(masks, side):
+            yield a, na, a
+    for u in _members(side1):
+        a = side1 & ~(1 << u)
+        na = _union(masks, a)
+        if a and not masks[u] & ~na:  # skip the closed ones, walked above
+            yield a, na, a
 
 
 def canonical_representation(g: Graph,
@@ -295,7 +463,7 @@ def canonical_representation(g: Graph,
     if not g.edges:
         raise GraphRequirementError(
             "canonical representation requires at least one edge")
-    return _canonical(g, _candidate_halfspaces(g, max_vertices))
+    return _canonical(g, _candidates(g, max_vertices, _one_sided_sets))
 
 
 def remove_redundant(g: Graph, rep: ConeRepresentation,
@@ -308,7 +476,14 @@ def remove_redundant(g: Graph, rep: ConeRepresentation,
     halfspace failing the facet rank criterion, merges halfspaces that
     cut the same facet, and re-tags each facet canonically.
     """
-    _sides(g)
+    side1, side2 = _sides(g)
     if rep.kind != "full":
         raise ValueError(f"expected a full representation, got kind={rep.kind!r}")
-    return _canonical(g, rep.halfspaces)
+    set1, set2 = set(side1), set(side2)
+    one_sided = ((sum(1 << idx for idx in _side_split(g, h.plane.normal)[0]),
+                  h.plane.tag)
+                 for h in rep.halfspaces
+                 if not isinstance(h.plane.tag, IndependentSetTag)
+                 or set1.isdisjoint(h.plane.tag.vertices)
+                 or set2.isdisjoint(h.plane.tag.vertices))
+    return _canonical(g, one_sided)

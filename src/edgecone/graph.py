@@ -177,6 +177,23 @@ def is_independent(g: Graph, a: Iterable[int]) -> bool:
     return all(not (members & set(g.neighbors[v])) for v in members)
 
 
+def check_gate(g: Graph, max_vertices: int) -> None:
+    """Refuse graphs above the vertex gate of an exponential enumeration."""
+    if g.vertex_count > max_vertices:
+        raise EnumerationGateError(
+            f"{g.vertex_count} vertices exceed the gate of {max_vertices}: "
+            f"refusing exponential enumeration of independent sets")
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbor set as a bitmask over vertex indices."""
+    masks = [0] * g.vertex_count
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
 def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iterator[VertexSet]:
     """Yield every nonempty independent set exactly once.
 
@@ -186,15 +203,9 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
     work follows the number of sets, not ``2**n``.  Refuses graphs above
     the vertex gate.
     """
+    check_gate(g, max_vertices)
     n = g.vertex_count
-    if n > max_vertices:
-        raise EnumerationGateError(
-            f"{n} vertices exceed the gate of {max_vertices}: refusing "
-            f"exponential enumeration of independent sets")
-    masks = [0] * n
-    for i, j in g.edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+    masks = adjacency_masks(g)
     # Each set carries the bitmask of vertices that may still join it:
     # above its last member and outside its neighborhood.  Extending a
     # level in order, lowest vertex first, keeps the next level in

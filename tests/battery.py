@@ -12,7 +12,9 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from edgecone import (CoordinateTag, Graph, edge_vectors,
+from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
+                      IndependentSetTag, affine_hull, cone_dimension,
+                      coordinate_halfspace, edge_vectors, face_dimension,
                       independent_set_halfspace, independent_sets,
                       is_independent, neighbor_set)
 
@@ -49,35 +51,18 @@ def cube() -> Graph:
     return build(8, edges)
 
 
-def is_connected_edges(n: int, edges) -> bool:
-    if n == 0:
-        return True
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def all_graphs(n: int):
+    """Every labeled graph on ``n`` vertices, connected or not."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield build(n, [pairs[k] for k in range(len(pairs)) if bits >> k & 1])
 
 
 @lru_cache(maxsize=None)
 def connected_graphs_upto(max_n: int) -> tuple[Graph, ...]:
     """Every labeled connected graph on 1..max_n vertices."""
-    out = []
-    for n in range(1, max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
-            if is_connected_edges(n, edges):
-                out.append(build(n, edges))
-    return tuple(out)
+    return tuple(g for n in range(1, max_n + 1) for g in all_graphs(n)
+                 if g.is_connected())
 
 
 def random_connected(n: int, rng: random.Random, extra_probability: float) -> Graph:
@@ -397,3 +382,70 @@ def combinatorial_facet_sets(g: Graph) -> frozenset:
                            if h.margin(v) == 0)
             found.add(on)
     return frozenset(found)
+
+
+def _tag_key(h):
+    tag = h.plane.tag
+    if isinstance(tag, CoordinateTag):
+        return (0, tag.vertex, ())
+    return (1, -1, tag.vertices)
+
+
+def _all_sets_groups(g: Graph, one_sided_only: bool = False) -> dict:
+    """The all-sets candidate route: every coordinate halfspace and the
+    halfspace of every nonempty independent set (or only of those inside
+    one side of a connected bipartite graph), the facet-cutting ones
+    grouped by the edges on their hyperplanes."""
+    dim = cone_dimension(g)
+    if dim <= 1:
+        return {}
+    candidates = [coordinate_halfspace(g, v) for v in range(g.vertex_count)]
+    for a in independent_sets(g, g.vertex_count):
+        if not one_sided_only or any(set(a) <= set(side)
+                                     for side in g.bipartitions[0]):
+            candidates.append(independent_set_halfspace(g, a))
+    groups = {}
+    for h in candidates:
+        normal = h.plane.normal
+        on = tuple(idx for idx, (i, j) in enumerate(g.edges)
+                   if normal[i] + normal[j] == 0)
+        if face_dimension(g, h) == dim - 1:
+            groups.setdefault(on, []).append(h)
+    return groups
+
+
+def reference_facets(g: Graph) -> tuple:
+    """``facets`` by the all-sets route, with the same tag preference
+    (coordinate first, then the lexicographically smallest set) and
+    order."""
+    found = [Facet(min(hs, key=_tag_key), on)
+             for on, hs in _all_sets_groups(g).items()]
+    return tuple(sorted(found, key=lambda f: _tag_key(f.halfspace)))
+
+
+def reference_canonical(g: Graph) -> ConeRepresentation:
+    """``canonical_representation`` of a connected bipartite graph with
+    an edge by the all-sets route: per facet, the smallest side-2
+    coordinate, else the one set strictly inside side 1 among all
+    one-sided independent sets."""
+    side1, side2 = g.bipartitions[0]
+    equations = affine_hull(g)
+    if cone_dimension(g) <= 1:
+        return ConeRepresentation(
+            equations, tuple(coordinate_halfspace(g, v) for v in side2),
+            "canonical_bipartite")
+    chosen = []
+    for hs in _all_sets_groups(g, one_sided_only=True).values():
+        tags = [h.plane.tag for h in hs]
+        coords = [h for h, t in zip(hs, tags)
+                  if isinstance(t, CoordinateTag) and t.vertex in side2]
+        sets = [h for h, t in zip(hs, tags)
+                if isinstance(t, IndependentSetTag)
+                and set(t.vertices) < set(side1)]
+        if coords:
+            chosen.append(min(coords, key=_tag_key))
+        else:
+            (only,) = sets
+            chosen.append(only)
+    return ConeRepresentation(equations, tuple(sorted(chosen, key=_tag_key)),
+                              "canonical_bipartite")

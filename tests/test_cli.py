@@ -181,6 +181,20 @@ def test_gate_override(graph_file, capsys):
     assert code == 0
 
 
+def test_facets_and_canonical_gate(graph_file, capsys):
+    path = graph_file("\n".join(f"v{i} v{i + 1}" for i in range(6)))
+    for command in ("facets", "canonical"):
+        code, out, err = run(capsys, command, path, "--max-n", "3")
+        assert code == 1 and out == ""
+        assert "7 vertices exceed the gate of 3" in err
+
+
+def test_canonical_rejects_the_empty_graph(graph_file, capsys):
+    code, out, err = run(capsys, "canonical", graph_file(""))
+    assert code == 1 and out == ""
+    assert err.startswith("edgecone: ") and "no vertices" in err
+
+
 def test_negative_gate_is_a_usage_error(graph_file, capsys):
     code, _, err = run(capsys, "repr", graph_file(SINGLE), "--max-n", "-1")
     assert code == 2

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from edgecone import (CoordinateTag, GraphRequirementError,
+from edgecone import (CoordinateTag, EnumerationGateError, GraphRequirementError,
                       IndependentSetTag, NotSupportingHyperplaneError,
                       bipartite_facet_check, brute_force_facet_generator_sets,
                       brute_force_facets, canonical_representation,
@@ -14,8 +15,10 @@ from edgecone import (CoordinateTag, GraphRequirementError,
 from edgecone.cone import Hyperplane
 from edgecone.facets import _edge_rank, _induced_connected
 from edgecone.rational import dot
-from battery import (complete_bipartite, connected_graphs_upto, cycle, path,
-                     random_connected_bipartite, standard_battery, star)
+from battery import (all_graphs, build, combinatorial_facet_sets,
+                     complete_bipartite, connected_graphs_upto, cycle, path,
+                     random_connected_bipartite, reference_canonical,
+                     reference_facets, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)  # leaves 0,1,2 ; center 3
@@ -252,6 +255,50 @@ def test_canonical_rejects_bad_graphs():
         canonical_representation(parse_graph("a b\nc d"))
     with pytest.raises(GraphRequirementError):
         canonical_representation(parse_graph("a"))
+
+
+def test_structural_operations_reject_the_empty_graph():
+    empty = parse_graph("")
+    for call in (canonical_representation,
+                 lambda g: remove_redundant(g, full_representation(g)),
+                 lambda g: bipartite_facet_check(g, [0]),
+                 lambda g: dual_facet(g, [0])):
+        with pytest.raises(GraphRequirementError, match="no vertices"):
+            call(empty)
+
+
+def test_facets_and_canonical_refuse_graphs_above_the_gate():
+    for call in (facets, canonical_representation):
+        with pytest.raises(EnumerationGateError,
+                           match="6 vertices exceed the gate of 5"):
+            call(path(6), max_vertices=5)
+        assert call(path(6), max_vertices=6)
+        with pytest.raises(EnumerationGateError,
+                           match="21 vertices exceed the gate of 20"):
+            call(path(21))
+
+
+def test_closed_sets_match_the_all_sets_route_exhaustively():
+    # every labeled graph on at most 5 vertices (isolated vertices and
+    # disconnected graphs included) and a seeded sample of 6-vertex ones
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    pairs = list(itertools.combinations(range(6), 2))
+    for bits in random.Random(6).sample(range(1 << len(pairs)), 1500):
+        graphs.append(build(6, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+    for g in graphs:
+        assert facets(g) == reference_facets(g), (g.vertex_count, g.edges)
+        if g.edges and g.is_connected() and g.is_bipartite():
+            assert canonical_representation(g) == reference_canonical(g), g.edges
+
+
+def test_closed_sets_on_a_16_vertex_bipartite_graph():
+    # 17,416 independent sets for 15 facets
+    g = random_connected_bipartite(16, random.Random(2), 0.15)
+    fs = facets(g)
+    assert fs == reference_facets(g)
+    assert frozenset(frozenset(f.generators_on) for f in fs) == \
+        combinatorial_facet_sets(g)
+    assert canonical_representation(g) == reference_canonical(g)
 
 
 def test_remove_redundant_equals_canonical():

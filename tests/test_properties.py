@@ -1,5 +1,5 @@
 """Property tests on random graphs with at most 7 vertices (8 for the
-witness comparison).
+witness comparison, 12 for the disjoint unions).
 
 Three independent membership paths must agree: the library's max-flow,
 the exhaustive scan over independent sets and the Fourier-Motzkin
@@ -7,9 +7,10 @@ oracle, and the library's membership witness must equal the one an
 Edmonds-Karp flow with the quadratic shrink finds.  Three facet
 enumerations must agree too: the library's rank criterion, the
 brute-force oracle and, on connected bipartite graphs, the two-sided
-connectivity rule.  Every certificate the library returns
-is checked directly.  Examples are derandomized, so every run tests the
-same inputs.
+connectivity rule, and the closed-set candidates of ``facets`` and
+``canonical_representation`` must give what all independent sets give.
+Every certificate the library returns is checked directly.  Examples
+are derandomized, so every run tests the same inputs.
 """
 
 import itertools
@@ -18,10 +19,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
-                      edge_vectors, facets, fm_membership, has_perfect_matching,
-                      integer_decompose, is_independent, membership,
-                      neighbor_set)
+                      canonical_representation, edge_vectors, facets,
+                      fm_membership, has_perfect_matching, integer_decompose,
+                      is_independent, membership, neighbor_set)
 from battery import (build, check_witness, combinatorial_facet_sets,
+                     reference_canonical, reference_facets,
                      reference_hall_violator, scan_membership)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -40,10 +42,10 @@ def graphs(draw, bipartite=False, max_vertices=7):
 
 
 @st.composite
-def connected_bipartite_graphs(draw):
+def connected_bipartite_graphs(draw, max_vertices=7):
     """A random spanning tree, 2-coloured along its edges, plus random
     edges between the two colours."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_vertices))
     side = [False]
     edges = set()
     for v in range(1, n):
@@ -54,6 +56,24 @@ def connected_bipartite_graphs(draw):
              if side[i] != side[j] and (i, j) not in edges]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges.update(pair for pair, kept in zip(pairs, keep) if kept)
+    return build(n, edges)
+
+
+@st.composite
+def unions(draw):
+    """Two graphs side by side plus up to two isolated vertices, the
+    vertices then relabeled at random, so that isolated vertices fall
+    below and above the members of the sets that cut facets."""
+    parts = [draw(st.one_of(graphs(max_vertices=5),
+                            connected_bipartite_graphs(max_vertices=5)))
+             for _ in range(2)]
+    isolated = draw(st.integers(0, 2))
+    n = sum(g.vertex_count for g in parts) + isolated
+    label = draw(st.permutations(range(n)))
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(label[offset + i], label[offset + j]) for i, j in g.edges]
+        offset += g.vertex_count
     return build(n, edges)
 
 
@@ -145,3 +165,11 @@ def test_rank_brute_force_and_connectivity_facets_coincide(g):
     assert by_rank == brute_force_facet_generator_sets(edge_vectors(g))
     if g.is_connected() and g.is_bipartite():
         assert by_rank == combinatorial_facet_sets(g)
+
+
+@PROPERTY
+@given(st.one_of(graphs(), unions(), connected_bipartite_graphs()))
+def test_closed_sets_match_the_all_sets_route(g):
+    assert facets(g) == reference_facets(g)
+    if g.edges and g.is_connected() and g.is_bipartite():
+        assert canonical_representation(g) == reference_canonical(g)
