@@ -47,13 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if vector_arg:
             p.add_argument("vector",
                            help="comma-separated exact rationals, e.g. 3/2,0,1")
-        p.add_argument("--max-n", type=nonnegative_int, default=DEFAULT_MAX_VERTICES,
-                       help="vertex gate for repr, canonical, facets, validate "
-                            "and --oracle")
+        if name in ("repr", "canonical", "facets"):  # the calls with a gate
+            p.add_argument("--max-n", type=nonnegative_int, default=DEFAULT_MAX_VERTICES,
+                           help="vertex gate of the enumeration")
         p.add_argument("--format", choices=("json", "plain"), default="json")
-        p.add_argument("--oracle", action="store_true",
-                       help="also cross-validate against the brute-force oracle")
-        return p
+        if name != "validate":  # validate prints the oracle's report anyway
+            p.add_argument("--oracle", action="store_true",
+                           help="also cross-validate against the brute-force oracle")
 
     add("dim", "dimension of the edge cone")
     add("repr", "full halfspace representation")
@@ -159,14 +159,14 @@ def _run_command(args) -> tuple[dict, int, str]:
         summary = ("perfect matching found" if result
                    else "no perfect matching")
     elif args.command == "validate":
-        report = cross_validate(g, max_vertices=args.max_n)
+        report = cross_validate(g)
         doc["validation"] = report_doc(report)
         summary = "all checks passed" if report.passed else "checks FAILED"
         if not report.passed:
             exit_code = 1
 
-    if args.oracle and args.command != "validate":
-        report = cross_validate(g, max_vertices=args.max_n)
+    if getattr(args, "oracle", False):  # validate has no --oracle
+        report = cross_validate(g)
         doc["validation"] = report_doc(report)
         if not report.passed:
             summary += " (cross-validation FAILED)"

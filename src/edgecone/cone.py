@@ -90,7 +90,7 @@ class ConeRepresentation:
 
     equations: tuple[Hyperplane, ...]
     halfspaces: tuple[Halfspace, ...]
-    kind: str  # "full" | "irreducible" | "canonical_bipartite"
+    kind: str  # "full" | "canonical_bipartite"
 
     def satisfied_by(self, x: Sequence[Rational]) -> bool:
         return (all(dot(eq.normal, x) == 0 for eq in self.equations)

@@ -425,22 +425,19 @@ def _canonical(g: Graph, candidates: Iterable[tuple[int, Tag | int]]
 
 
 def _one_sided_sets(g: Graph, masks: Sequence[int]):
-    """The closed sets inside each side of a connected bipartite graph,
-    then the sets ``side1 - {u}`` that are not closed.
+    """The closed sets inside side 1 of a connected bipartite graph, then
+    the sets ``side1 - {u}`` that are not closed.
 
-    Sets meeting both sides are left out: each is the sum of two
-    one-sided ones and cuts no facet they miss.  The closure of a
-    one-sided set stays on its side (a vertex of the other side has its
-    neighbors on this one, outside ``N(A)``), so each side is walked
-    alone.  A one-sided set that cuts a facet and is not closed is, by
-    the proof in ``facets``, ``side - {u}`` with ``x_u`` cutting the same
-    facet; on side 2 that coordinate is the canonical tag, on side 1 the
-    set is.
+    ``_canonical_tag`` chooses a side-2 coordinate or the one set
+    strictly inside side 1, and by the proof in ``facets`` a side-1 set
+    that cuts a facet and is not closed is ``side1 - {u}``: so every
+    canonical tag is a coordinate, a closed side-1 set or one of these.
+    The closure of a side-1 set stays on side 1 (a side-2 vertex has its
+    neighbors on side 1, outside ``N(A)``), so side 1 is walked alone.
     """
-    side1, side2 = (sum(1 << v for v in side) for side in g.bipartitions[0])
-    for side in (side1, side2):
-        for a, na in _closed_sets(masks, side):
-            yield a, na, a
+    side1 = sum(1 << v for v in g.bipartitions[0][0])
+    for a, na in _closed_sets(masks, side1):
+        yield a, na, a
     for u in _members(side1):
         a = side1 & ~(1 << u)
         na = _union(masks, a)
@@ -466,24 +463,21 @@ def canonical_representation(g: Graph,
     return _canonical(g, _candidates(g, max_vertices, _one_sided_sets))
 
 
-def remove_redundant(g: Graph, rep: ConeRepresentation,
-                     max_vertices: int = DEFAULT_MAX_VERTICES) -> ConeRepresentation:
+def remove_redundant(g: Graph, rep: ConeRepresentation) -> ConeRepresentation:
     """Reduce the full representation of a connected bipartite graph to
     the canonical irreducible one.
 
-    Drops every independent-set halfspace whose set meets both sides
-    (such halfspaces are sums of two one-sided ones), then every
-    halfspace failing the facet rank criterion, merges halfspaces that
-    cut the same facet, and re-tags each facet canonically.
+    Keeps the coordinate and side-1 set halfspaces, the only tags
+    ``_canonical_tag`` chooses, drops every one failing the facet rank
+    criterion, merges those that cut the same facet, and re-tags each
+    facet canonically.
     """
-    side1, side2 = _sides(g)
+    side1 = set(_sides(g)[0])
     if rep.kind != "full":
         raise ValueError(f"expected a full representation, got kind={rep.kind!r}")
-    set1, set2 = set(side1), set(side2)
-    one_sided = ((sum(1 << idx for idx in _side_split(g, h.plane.normal)[0]),
-                  h.plane.tag)
-                 for h in rep.halfspaces
-                 if not isinstance(h.plane.tag, IndependentSetTag)
-                 or set1.isdisjoint(h.plane.tag.vertices)
-                 or set2.isdisjoint(h.plane.tag.vertices))
-    return _canonical(g, one_sided)
+    side1_tags = ((sum(1 << idx for idx in _side_split(g, h.plane.normal)[0]),
+                   h.plane.tag)
+                  for h in rep.halfspaces
+                  if not isinstance(h.plane.tag, IndependentSetTag)
+                  or side1.issuperset(h.plane.tag.vertices))
+    return _canonical(g, side1_tags)

@@ -189,6 +189,23 @@ def test_facets_and_canonical_gate(graph_file, capsys):
         assert "7 vertices exceed the gate of 3" in err
 
 
+def test_validate_beyond_the_oracle_gate(graph_file, capsys):
+    path = graph_file("\n".join(f"v{i} v{i + 1}" for i in range(10)))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 1 and out == ""
+    assert "dimension 11 exceeds the oracle gate of 10" in err
+
+
+def test_flags_only_where_they_act(graph_file, capsys):
+    path = graph_file(SINGLE)
+    for argv in (("dim", path, "--max-n", "3"),
+                 ("member", path, "1,1", "--max-n", "3"),
+                 ("validate", path, "--oracle")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+
 def test_canonical_rejects_the_empty_graph(graph_file, capsys):
     code, out, err = run(capsys, "canonical", graph_file(""))
     assert code == 1 and out == ""

@@ -6,7 +6,7 @@ import pytest
 from edgecone import (EnumerationGateError, brute_force_facet_generator_sets,
                       brute_force_facets, cross_validate, edge_vectors,
                       facets, fm_membership, membership, parse_graph)
-from battery import complete_bipartite, cycle, random_connected, star
+from battery import build, complete, complete_bipartite, cycle, random_connected, star
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)
@@ -200,3 +200,15 @@ def test_cross_validate_random_graphs():
     for trial in range(10):
         g = random_connected(rng.randint(1, 7), rng, 0.4)
         assert cross_validate(g).passed, g.edges
+
+
+@pytest.mark.parametrize("g, message", [
+    (complete(8), "28 generators exceed the oracle gate of 24"),
+    (build(15, []), "dimension 15 exceeds the oracle gate of 10"),
+])
+def test_cross_validate_refuses_before_library_work(g, message, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("facets ran on a graph the oracle refuses")
+    monkeypatch.setattr("edgecone.oracle.facets", unexpected)
+    with pytest.raises(EnumerationGateError, match=message):
+        cross_validate(g)
