@@ -4,10 +4,10 @@ The edge cone of a graph is the cone spanned by its incidence column
 vectors.  It equals the set of vectors with nonnegative coordinates
 whose sum over any independent set ``A`` is at most the sum over the
 neighbor set of ``A``; the affine hull contributes one balance equation
-per bipartite component.  This module builds those constraint systems;
-membership instead routes the point as a flow on the bipartite double
-cover (a fractional b-matching) in polynomial time.  Dimensions come
-from graph combinatorics; exact elimination runs only in the oracle.
+per bipartite component.  This module builds those constraint systems
+and the one flow network that membership, decomposition and matching
+route on: the bipartite double cover, halved on bipartite components.
+Dimensions come from graph combinatorics; elimination is oracle-only.
 """
 
 from __future__ import annotations
@@ -267,33 +267,64 @@ class _MaxFlow:
         maximum flow."""
         return [depth >= 0 for depth in self.level]
 
+    def reaching(self, sink: int) -> list[bool]:
+        """After ``run``: the nodes that reach ``sink`` in the residual
+        network, outside the source side of the maximal minimum cut."""
+        adj, to, cap = self.adj, self.to, self.cap
+        seen = [False] * len(adj)
+        seen[sink] = True
+        queue = [sink]
+        for u in queue:
+            for arc in adj[u]:
+                v = to[arc]
+                if cap[arc ^ 1] and not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
 
-def _hall_violator(g: Graph, point: Sequence[int]) -> VertexSet | None:
-    """None when the nonnegative integer ``point`` is in the cone, else a
-    violated independent set from which no single vertex can be dropped.
 
-    ``point`` is in the cone iff ``(point, point)`` routes as a flow on
-    the bipartite double cover: arcs ``source -> v``, ``v' -> sink`` of
+def _route(g: Graph, point: Sequence[int]) -> _MaxFlow | Halfspace:
+    """The maximum flow that routes the integer ``point``, or the
+    halfspace it violates: the lowest-index negative coordinate, or else
+    an independent set from which no single vertex can be dropped.
+
+    ``point`` is in the cone iff ``(point, point)`` routes on the
+    bipartite double cover: arcs ``source -> v``, ``v' -> sink`` of
     capacity ``point[v]`` and uncapped ``v -> w'``, ``w -> v'`` per edge
-    ``vw``.  A short flow leaves reachable left vertices ``S`` with
-    ``point(S) > point(N(S))``; those outside ``N(S)`` are independent,
-    have no neighbor in ``S`` and so keep that surplus.  Passes from the
-    highest index down then drop vertices while the rest stays violated;
-    dropping ``v`` takes from the neighbor set exactly the neighbors of
-    ``v`` that no other member touches, so each test costs ``deg v``.
+    ``vw``.  A bipartite component's cover is a copy from side 1 to side
+    2' plus its exact reverse, so only the copy is built, edge arcs
+    first: on a bipartite graph arc ``k`` is edge ``k``.  A short flow
+    leaves reachable left vertices ``S`` with ``point(S) > point(N(S))``
+    (the reverse copy carries the reversed flow, so side-2 ``w`` is in
+    ``S`` iff ``w'`` reaches the sink); those outside ``N(S)`` are
+    independent, have no neighbor in ``S`` and so keep that surplus.
+    Passes from the highest index down then drop vertices while the rest
+    stays violated; dropping ``v`` takes from the neighbor set exactly
+    the neighbors of ``v`` that no other member touches, so each test
+    costs ``deg v``.
     """
+    for v, c in enumerate(point):
+        if c < 0:
+            return coordinate_halfspace(g, v)
     n = g.vertex_count
     total = sum(point)
     source, sink = 2 * n, 2 * n + 1
-    arcs = []
-    for v in range(n):
-        arcs += ((source, v, point[v]), (n + v, sink, point[v]))
-    for i, j in g.edges:
-        arcs += ((i, n + j, total), (j, n + i, total))
+    side1 = {v for sides in g.bipartitions if sides for v in sides[0]}
+    side2 = {v for sides in g.bipartitions if sides for v in sides[1]}
+    left = [v for v in range(n) if v not in side2]
+    right = [v for v in range(n) if v not in side1]
+    arcs = [(u, n + w, total) for i, j in g.edges
+            for u, w in ((i, j), (j, i)) if u not in side2]
+    arcs += [(source, v, point[v]) for v in left]
+    arcs += [(n + v, sink, point[v]) for v in right]
     flow = _MaxFlow(2 * n + 2, arcs)
-    if flow.run(source, sink) == total:
-        return None
+    value = flow.run(source, sink)
+    if value == sum(point[v] for v in left) == sum(point[v] for v in right):
+        return flow
     reached = flow.reachable()
+    if side2:
+        back = flow.reaching(sink)
+        reached = [back[n + v] if v in side2 else reached[v] for v in range(n)]
     neighbors = g.neighbors
     members = [v for v in range(n)
                if reached[v] and not any(reached[w] for w in neighbors[v])]
@@ -314,7 +345,7 @@ def _hall_violator(g: Graph, point: Sequence[int]) -> VertexSet | None:
             else:
                 kept.append(v)
         if len(kept) == len(members):
-            return tuple(members)
+            return independent_set_halfspace(g, members)
         members = kept[::-1]
 
 
@@ -331,11 +362,7 @@ def membership(g: Graph, x: Sequence[Rational]) -> MembershipResult:
     if len(x) != g.vertex_count:
         raise ValueError(
             f"vector has dimension {len(x)}, graph has {g.vertex_count} vertices")
-    point = clear_denominators(x)
-    for v, c in enumerate(point):
-        if c < 0:
-            return MembershipResult(False, coordinate_halfspace(g, v))
-    violator = _hall_violator(g, point)
-    if violator is None:
-        return MembershipResult(True)
-    return MembershipResult(False, independent_set_halfspace(g, violator))
+    routed = _route(g, clear_denominators(x))
+    if isinstance(routed, Halfspace):
+        return MembershipResult(False, routed)
+    return MembershipResult(True)

@@ -15,8 +15,8 @@ class EdgeListParseError(ValueError):
 
 
 class EnumerationGateError(RuntimeError):
-    """Raised when an operation would require exponential enumeration
-    beyond the configured vertex gate."""
+    """Raised when exponential work would pass a gate: the vertex gate,
+    the oracle's generator or dimension gate, or Fourier-Motzkin blowup."""
 
 
 class GraphRequirementError(ValueError):

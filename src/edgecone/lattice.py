@@ -2,18 +2,17 @@
 
 For a bipartite graph the incidence matrix is totally unimodular, so an
 integer vector lies in the edge cone exactly when it is a sum of edge
-vectors with nonnegative integer multiplicities.  The decomposition is
-computed as an integral transshipment (edges oriented side 1 to side 2,
-supplies and demands given by the target vector) solved by the same
-blocking-flow maximum flow that decides membership; the all-ones target
-decides the perfect matching question.
+vectors with nonnegative integer multiplicities.  The flow that decides
+membership routes the target from side 1 to side 2 along the edges, so
+its integral value on each edge arc is the decomposition; the all-ones
+target decides the perfect matching question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cone import Halfspace, _MaxFlow, membership
+from .cone import Halfspace, _route
 from .errors import GraphRequirementError
 from .graph import Graph, VertexSet
 
@@ -74,35 +73,14 @@ def _require_bipartite(g: Graph, what: str):
         raise GraphRequirementError(f"{what} requires a bipartite graph")
 
 
-def _transshipment(g: Graph, b) -> dict[int, int] | None:
-    """Edge multiplicities summing to ``b``, or None when infeasible.
-    Requires a bipartite graph and nonnegative integer entries."""
-    n = g.vertex_count
-    side1 = set()
-    for sides in g.bipartitions:
-        side1.update(sides[0])
-    supply = sum(b[v] for v in side1)
-    demand = sum(b[v] for v in range(n) if v not in side1)
-    if supply != demand:
-        return None
-    source, sink = n, n + 1
-    arcs = [(i, j, supply) if i in side1 else (j, i, supply) for i, j in g.edges]
-    arcs += [(source, v, b[v]) if v in side1 else (v, sink, b[v]) for v in range(n)]
-    flow = _MaxFlow(n + 2, arcs)
-    if flow.run(source, sink) != supply:
-        return None
-    sent = flow.cap[1:2 * len(g.edges):2]  # reverse residuals of the edge arcs
-    return {idx: used for idx, used in enumerate(sent) if used}
-
-
 def integer_decompose(g: Graph, b) -> DecompositionResult:
     """Write an integer vector as a nonnegative integer combination of
     edge vectors, or certify that none exists.
 
     Total unimodularity guarantees a decomposition for every integer
-    vector in the cone, so infeasibility always comes with the
-    certificate ``membership`` gives: a negative coordinate or a violated
-    independent set.  Both searches take polynomial time.
+    vector in the cone, so one maximum flow either routes ``b`` or
+    yields the certificate ``membership`` gives: a negative coordinate
+    or a violated independent set.
 
     The multiplicities are some valid decomposition, the one the flow
     finds: deterministic for a fixed version of this library, but not
@@ -113,17 +91,12 @@ def integer_decompose(g: Graph, b) -> DecompositionResult:
     if len(b) != g.vertex_count:
         raise ValueError(
             f"vector has dimension {len(b)}, graph has {g.vertex_count} vertices")
-    if all(c >= 0 for c in b):
-        multiplicities = _transshipment(g, b)
-        if multiplicities is not None:
-            return DecompositionResult(
-                EdgeDecomposition(tuple(sorted(multiplicities.items()))))
-    verdict = membership(g, b)
-    if verdict.is_member:
-        raise AssertionError(
-            "membership accepted an integer vector the integral flow "
-            "could not decompose; total unimodularity violated")
-    return DecompositionResult(violated=verdict.violated)
+    routed = _route(g, b)
+    if isinstance(routed, Halfspace):
+        return DecompositionResult(violated=routed)
+    sent = routed.cap[1:2 * len(g.edges):2]  # flow on the arc of edge k
+    return DecompositionResult(EdgeDecomposition(
+        tuple((k, used) for k, used in enumerate(sent) if used)))
 
 
 def has_perfect_matching(g: Graph) -> MatchingResult:

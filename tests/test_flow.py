@@ -3,10 +3,11 @@
 Every node subset holding the source but not the sink is a cut, so on
 at most 8 nodes the minimum cut value and the set of minimum cuts are
 found by brute force.  The engine's flow value must equal that minimum,
-its residual capacities must describe a feasible flow, and the nodes it
+its residual capacities must describe a feasible flow, the nodes it
 reports reachable must be the intersection of the source sides of all
-minimum cuts.  Examples are derandomized, so every run tests the same
-networks.
+minimum cuts, and the nodes it reports reaching the sink must be those
+outside their union.  Examples are derandomized, so every run tests the
+same networks.
 """
 
 import itertools
@@ -80,6 +81,8 @@ def test_flow_value_residuals_and_reachable_set(network):
     assert balance[source] == -value and balance[sink] == value
     assert all(balance[v] == 0 for v in inner)
 
-    minimal = frozenset.intersection(
-        *(side for side in cuts if cut_capacity(arcs, side) == best))
+    minimum_cuts = [side for side in cuts if cut_capacity(arcs, side) == best]
+    minimal = frozenset.intersection(*minimum_cuts)
+    maximal = frozenset.union(*minimum_cuts)
     assert [v in minimal for v in range(nodes)] == flow.reachable()
+    assert [v not in maximal for v in range(nodes)] == flow.reaching(sink)

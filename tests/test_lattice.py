@@ -5,6 +5,7 @@ import pytest
 from edgecone import (GraphRequirementError, has_perfect_matching,
                       integer_decompose, membership, neighbor_set,
                       parity_check, parse_graph)
+from edgecone.cone import _MaxFlow
 from battery import (complete_bipartite, cycle, kuhn_maximum_matching,
                      path, random_connected_bipartite, star)
 
@@ -158,3 +159,28 @@ def test_decomposition_is_deterministic():
     first = integer_decompose(g, b)
     second = integer_decompose(g, b)
     assert first.decomposition == second.decomposition
+
+
+def test_each_call_runs_one_flow(monkeypatch):
+    # the sides of K13 and its all-ones vector are unbalanced; path(4) at
+    # (1, 0, 0, 1) and the graph below are balanced non-members
+    lopsided = parse_graph("a x\nb x\nc x\nc y\nc z")
+    calls = [(integer_decompose, (K13, (1, 1, 1, 1)), False),
+             (has_perfect_matching, (K13,), False),
+             (integer_decompose, (path(4), (1, 0, 0, 1)), False),
+             (has_perfect_matching, (lopsided,), False),
+             (integer_decompose, (cycle(6), (2, 1, 1, 2, 1, 1)), True),
+             (has_perfect_matching, (cycle(6),), True),
+             (membership, (K13, (1, 1, 1, 1)), False)]
+    runs = []
+    run = _MaxFlow.run
+
+    def counted(flow, source, sink):
+        runs.append((source, sink))
+        return run(flow, source, sink)
+
+    monkeypatch.setattr(_MaxFlow, "run", counted)
+    for call, args, expected in calls:
+        runs.clear()
+        assert bool(call(*args)) == expected
+        assert len(runs) == 1, call.__name__
