@@ -3,14 +3,15 @@
 Two generator-only computations cross-check every combinatorial answer
 in the package:
 
-* ``brute_force_facets`` enumerates facet hyperplanes from generator
-  subsets and a rank test, knowing nothing about graphs;
 * ``fm_membership`` decides cone membership by eliminating the
   multiplier variables of ``sum_i t_i g_i = x, t >= 0`` — equalities by
   exact substitution, the remaining multipliers by Fourier-Motzkin
   combination in index order.  The surviving rows describe the cone in
   point space and are cached per generator tuple (for the most recent
-  ``_CACHE_SIZE`` tuples).
+  ``_CACHE_SIZE`` tuples);
+* ``brute_force_facets`` reads the facet hyperplanes off those same
+  rows, not off generator subsets: a row whose on-generators have rank
+  d - 1 supports a facet.  It knows nothing about graphs.
 
 Generators and points pass ``clear_denominators`` on entry; a positive
 rescale of a generator leaves the cone and the generator indices
@@ -28,7 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .cone import Hyperplane, cone_dimension, membership
@@ -66,72 +66,49 @@ def _as_int_tuples(generators) -> tuple[tuple[int, ...], ...]:
     return gens
 
 
-def _one_sided(functional: tuple[int, ...], points) -> bool:
-    """Do all points lie on one closed side of ``functional``?"""
-    positive = negative = False
-    for p in points:
-        value = sum(map(mul, functional, p))
-        positive |= value > 0
-        negative |= value < 0
-        if positive and negative:
-            return False
-    return True
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _facet_data(generators: tuple[tuple[int, ...], ...]):
     """(inward primitive normal, on-generator indices) per facet.
 
-    Scans all (d-1)-subsets of the generators (d = rank).  A subset of
-    rank d-1 determines, up to scale, one linear functional on the
-    generator span vanishing on it; the subset supports a facet if every
-    generator lies on one closed side and the on-hyperplane generators
-    still have rank d-1.  Its normal is then the vector inside the span
-    orthogonal to the subset.  Cones of rank <= 1 have no facet besides
-    the apex.
+    Read off the rows ``r . x >= 0`` of ``_projection_rows``.  Every
+    facet-defining inequality appears among the rows of any
+    H-description of the cone, up to the span's equations (the rows that
+    vanish on every generator, skipped here).  A face is the cone of the
+    generators it vanishes on, so a row's on-set identifies its face,
+    and the face is a facet exactly when the on-set has rank d - 1
+    (d = rank); that rejects rows that support only a lower face.
+    Cones of rank <= 1 have no facet besides the apex.
 
-    All arithmetic is on integers: one ``integer_rref`` per generator
-    tuple gives the span's basis and pivot coordinates.  The span maps
-    one-to-one onto its pivot coordinates, so functionals are scanned as
-    integer kernels of the generators projected onto those d coordinates.
+    The normal is the vector inside the span orthogonal to the on-set:
+    one ``integer_rref`` per generator tuple gives a span basis, and the
+    normal's coefficients in it span the kernel of the on-generators'
+    products with that basis.  The basis's Gram matrix is invertible, so
+    that kernel is one-dimensional exactly when the on-set has rank
+    d - 1, and ``integer_kernel`` returning None is the rank test.
     """
-    gens = list(generators)
-    reduced, pivots = integer_rref(gens, len(gens[0]) if gens else 0)
+    width = len(generators[0]) if generators else 0
+    reduced, pivots = integer_rref(generators, width)
     d = len(pivots)
     if d <= 1:
         return ()
     basis = [primitive(row) for row in reduced]  # span basis, d rows
-    projected = [tuple(g[col] for col in pivots) for g in gens]
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    on_sets: list[set[int]] = []
-    for subset in itertools.combinations(range(len(gens)), d - 1):
-        # A subset inside a known facet spans that facet's hyperplane and
-        # would reproduce its normal.
-        if any(on.issuperset(subset) for on in on_sets):
+    found = []
+    for on in {tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
+               for row in _projection_rows(generators, width)}:
+        if len(on) == len(generators):  # an equation of the span
             continue
-        # None unless the subset has rank d - 1
-        functional = integer_kernel([projected[i] for i in subset], d)
-        if functional is None:
+        # normal = c . basis with <normal, g> = 0 for g on the row
+        coeffs = integer_kernel(
+            [[dot(b, generators[i]) for b in basis] for i in on], d)
+        if coeffs is None:
             continue
-        if not _one_sided(functional, projected):
-            continue
-        # normal = c . basis with <normal, s> = 0 for s in the subset
-        system = [[dot(b, gens[i]) for b in basis] for i in subset]
-        coeffs = integer_kernel(system, d)
         normal = primitive([
             sum(c * b[col] for c, b in zip(coeffs, basis))
-            for col in range(len(gens[0]))])
-        values = [dot(normal, g) for g in gens]
-        if all(v <= 0 for v in values):
+            for col in range(width)])
+        if all(dot(normal, g) <= 0 for g in generators):
             normal = tuple(-c for c in normal)
-            values = [-v for v in values]
-        on = tuple(i for i, v in enumerate(values) if v == 0)
-        if rational_rank([gens[i] for i in on]) != d - 1:
-            continue
-        if normal not in found:
-            found[normal] = on
-            on_sets.append(set(on))
-    return tuple(sorted(found.items()))
+        found.append((normal, on))
+    return tuple(sorted(found))
 
 
 def _is_unit_vector(normal: tuple[int, ...]) -> bool:
@@ -223,11 +200,17 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
                 negative.append((row, ancestors))
             else:
                 kept[row] = ancestors
+        built = len(kept)  # rows of this step's system, carried or combined
         for (prow, panc), (nrow, nanc) in itertools.product(positive, negative):
             ancestors = panc | nanc
             # Imbert's bound: wider ancestries are provably redundant.
             if len(ancestors) > eliminated + 2:
                 continue
+            built += 1
+            if built > _ROW_LIMIT:
+                raise EnumerationGateError(
+                    f"Fourier-Motzkin blowup: {built} rows built while "
+                    f"eliminating multiplier {eliminated + 1} of {len(free)}")
             combo = [prow[col] * b - nrow[col] * a for a, b in zip(prow, nrow)]
             if not any(combo):
                 continue
@@ -237,10 +220,6 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
             elif row not in kept or len(kept[row]) > len(ancestors):
                 kept[row] = ancestors
         rows = kept
-        if len(rows) > _ROW_LIMIT:
-            raise EnumerationGateError(
-                f"Fourier-Motzkin blowup: {len(rows)} rows while eliminating "
-                f"multiplier {eliminated + 1} of {len(free)}")
     for row in rows:
         outputs.add(row[len(free):])
     return tuple(sorted(outputs))
@@ -258,8 +237,13 @@ def fm_membership(generators, x: Sequence[Rational]) -> bool:
         raise ValueError(
             f"vector has dimension {n}, generators have {len(gens[0])}")
     _check_gate(gens, n)
+    return _satisfies(_projection_rows(gens, n), x)
+
+
+def _satisfies(rows, x: Sequence[Rational]) -> bool:
+    """Does ``x``, past the exact-input gate, meet ``r . x >= 0`` for every row?"""
     point = clear_denominators(x)
-    return all(dot(row, point) >= 0 for row in _projection_rows(gens, n))
+    return all(dot(row, point) >= 0 for row in rows)
 
 
 @dataclass(frozen=True)
@@ -307,14 +291,18 @@ def cross_validate(g: Graph) -> ValidationReport:
     (3) ``cone_dimension``'s component-count formula matches the rank.
     Failures are reported with a minimal witness, not raised.  The gate
     is the oracle's (edges, then vertices), checked before any other
-    work; it is tighter than the vertex gate of ``facets``.
+    work; it is tighter than the vertex gate of ``facets``.  The
+    generators are cleared and their Fourier-Motzkin rows fetched once;
+    the oracle's facets and every point's verdict come from those rows,
+    so a row missing from the projection shows as a facet mismatch.
     """
     vectors = edge_vectors(g)
     _check_gate(vectors, g.vertex_count)
+    gens = _as_int_tuples(vectors)
     checks = []
 
     library_sets = frozenset(frozenset(f.generators_on) for f in facets(g))
-    oracle_sets = brute_force_facet_generator_sets(vectors)
+    oracle_sets = frozenset(frozenset(on) for _, on in _facet_data(gens))
     if library_sets == oracle_sets:
         detail = f"{len(oracle_sets)} facets agree"
     else:
@@ -324,12 +312,13 @@ def cross_validate(g: Graph) -> ValidationReport:
                   f"library-only {sorted(map(sorted, extra))}")
     checks.append(Check("facets", library_sets == oracle_sets, detail))
 
+    rows = _projection_rows(gens, g.vertex_count)
     disagreement = None
     tested = 0
     for point in _point_battery(g, _COMBINATIONS, _RANDOM_POINTS, _SEED):
         tested += 1
         lib = membership(g, point).is_member
-        orc = fm_membership(vectors, point)
+        orc = _satisfies(rows, point)
         if lib != orc:
             disagreement = (point, lib, orc)
             break

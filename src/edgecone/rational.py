@@ -31,6 +31,8 @@ def clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
     and ``Fraction`` entries are exact: floats, bools and strings are
     rejected, not converted.
     """
+    if all(type(c) is int for c in x):  # bools are not exactly int
+        return tuple(x)
     for c in x:
         if type(c) not in (int, Fraction):
             raise ValueError(

@@ -7,6 +7,7 @@ from edgecone import (EnumerationGateError, brute_force_facet_generator_sets,
                       brute_force_facets, cross_validate, edge_vectors,
                       facets, fm_membership, membership, parse_graph)
 from battery import build, complete, complete_bipartite, cycle, random_connected, star
+from edgecone import oracle
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)
@@ -153,6 +154,37 @@ def test_facet_halfspaces_contain_all_generators():
             values = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
             assert all(v >= 0 for v in values)
             assert tuple(i for i, v in enumerate(values) if v == 0) == on
+
+
+@pytest.mark.parametrize("g", [
+    random_connected(10, random.Random(36), 0.4),
+    complete_bipartite(4, 6),
+    build(10, [(i, 5 + j) for i in range(5) for j in range(5)][1:]),
+], ids=["random-10-24-edges", "K4,6", "K5,5-minus-an-edge"])
+def test_brute_force_facets_at_the_generator_gate(g):
+    vectors = edge_vectors(g)
+    assert len(vectors) == oracle.ORACLE_MAX_GENERATORS
+    assert (brute_force_facet_generator_sets(vectors)
+            == frozenset(frozenset(f.generators_on) for f in facets(g)))
+
+
+def test_span_equations_are_not_facets():
+    # K2,3's span has the equation x_left = x_right, a projection row that
+    # vanishes on every generator
+    vectors = edge_vectors(complete_bipartite(2, 3))
+    sets = brute_force_facet_generator_sets(vectors)
+    assert sets and all(len(on) < len(vectors) for on in sets)
+
+
+def test_fourier_motzkin_bounds_the_rows_built_in_one_step(monkeypatch):
+    # K7's first step carries 17 rows and combines 4 more; the gate stops
+    # it at the second combination, not after the step's 21 rows
+    monkeypatch.setattr(oracle, "_ROW_LIMIT", 18)
+    oracle._projection_rows.cache_clear()
+    oracle._facet_data.cache_clear()
+    with pytest.raises(EnumerationGateError,
+                       match="19 rows built while eliminating multiplier 1 of 14"):
+        brute_force_facets(edge_vectors(complete(7)))
 
 
 def test_point_battery_equals_fraction_combinations():

@@ -194,3 +194,12 @@ def test_clear_denominators_rejects_inexact_types():
             clear_denominators((1, Fraction(1, 2), inexact))
         with pytest.raises(ValueError, match="int or Fraction"):
             primitive((Fraction(1, 2), inexact))
+
+
+def test_clear_denominators_int_fast_path_still_rejects_bools():
+    # type(True) is not int, so an all-int vector and a bool-bearing one
+    # part ways at the int-only shortcut
+    assert clear_denominators([3, -4, 0]) == (3, -4, 0)
+    for with_bool in ((1, True), (True,)):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            clear_denominators(with_bool)
