@@ -80,6 +80,7 @@ class Halfspace:
 
     def margin(self, x: Sequence[Rational]) -> Rational:
         """Nonnegative exactly when ``x`` satisfies the halfspace."""
+        clear_denominators(x)  # the exact-input check alone: x keeps its scale
         value = dot(self.plane.normal, x)
         return value if self.sense == SENSE_GE else -value
 
@@ -93,8 +94,10 @@ class ConeRepresentation:
     kind: str  # "full" | "canonical_bipartite"
 
     def satisfied_by(self, x: Sequence[Rational]) -> bool:
-        return (all(dot(eq.normal, x) == 0 for eq in self.equations)
-                and all(h.margin(x) >= 0 for h in self.halfspaces))
+        """Whether the exact ``x`` meets every constraint, rescaled to integers."""
+        point = clear_denominators(x)
+        return (all(dot(eq.normal, point) == 0 for eq in self.equations)
+                and all(h.margin(point) >= 0 for h in self.halfspaces))
 
 
 def coordinate_halfspace(g: Graph, vertex: int) -> Halfspace:

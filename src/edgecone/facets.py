@@ -3,11 +3,12 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs.  The rank is the edge-cone dimension of the subgraph those edges
-form, so no elimination runs here; only the oracle eliminates.  For a
-connected bipartite graph the facets admit a purely combinatorial
-characterization over independent subsets of one side, and the cone
-has a unique irreducible representation whose halfspaces are tagged by
+graphs, and ``facets`` and ``remove_redundant`` take it.  The rank is
+the edge-cone dimension of the subgraph those edges form, so no
+elimination runs here; only the oracle eliminates.  For a connected
+bipartite graph the facets are the directed bonds, which
+``canonical_representation`` lists with no rank, and the cone has a
+unique irreducible representation whose halfspaces are tagged by
 independent sets strictly inside side 1 plus coordinate halfspaces of
 side-2 vertices.
 
@@ -15,20 +16,20 @@ Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
 same facet, so normals alone are not a usable identity.
 
-The candidates are the coordinate hyperplanes and the closed
-independent sets, the independent extents of the formal concepts of the
-non-adjacency relation (Ganter and Wille 1999), which Close-by-One lists
-on vertex bitmasks; ``facets`` proves that no other set is needed.
-Each candidate is decided from bitmasks of its vertices and edges, and
-a ``Halfspace`` is built only for the tag that a facet keeps, so the
-cost follows the number of closed sets, not the number of independent
-sets (``full_representation`` still lists all of those).
+The candidates of ``facets`` are the coordinate hyperplanes and the
+closed independent sets, the independent extents of the formal concepts
+of the non-adjacency relation (Ganter and Wille 1999), which
+Close-by-One lists on vertex bitmasks; ``facets`` proves that no other
+set is needed.  Each candidate is decided from bitmasks of its vertices
+and edges, and a ``Halfspace`` is built only for the tag that a facet
+keeps, so the cost follows the number of closed sets, not the number of
+independent sets (``full_representation`` still lists all of those).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
@@ -189,54 +190,20 @@ def _union(table: Sequence[int], mask: int) -> int:
     return out
 
 
-def _candidates(g: Graph, max_vertices: int, sets):
-    """The candidates of ``facets`` and ``canonical_representation``:
-    every coordinate, then each independent set that ``sets(g, masks)``
-    yields from the adjacency bitmasks as ``(A, N(A), tag)`` bitmasks,
-    each with the bitmask of the edges on its hyperplane.  Those are the
-    edges from ``A`` to ``N(A)`` and the ones inside the rest, that is
-    every edge but the ones that touch ``N(A)`` and miss ``A``."""
-    check_gate(g, max_vertices)
-    masks = adjacency_masks(g)
-    incident = [0] * g.vertex_count  # edges at each vertex
-    for idx, (i, j) in enumerate(g.edges):
-        incident[i] |= 1 << idx
-        incident[j] |= 1 << idx
-    everything = (1 << len(g.edges)) - 1
-    for v in range(g.vertex_count):
-        yield everything & ~incident[v], CoordinateTag(v)
-    for a, na, tag in sets(g, masks):
-        yield everything & ~(_union(incident, na) & ~_union(incident, a)), tag
+def _reach(masks: Sequence[int], seed: int, within: int) -> int:
+    """The vertices of ``within`` that a path inside ``within`` joins to
+    a vertex of ``seed``, a subset of ``within``, as a bitmask."""
+    reached = frontier = seed
+    while frontier:
+        frontier = _union(masks, frontier) & within & ~reached
+        reached |= frontier
+    return reached
 
 
-def _facet_sets(g: Graph, masks: Sequence[int]):
-    """The nonempty closed independent sets of the non-isolated vertices,
-    each tagged with the isolated vertices below its largest member
-    added (see ``facets``)."""
-    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
-    for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated):
-        below = (1 << (a.bit_length() - 1)) - 1
-        yield a, na, a | isolated & below
-
-
-def _facet_groups(g: Graph, candidates: Iterable[tuple[int, Tag | int]]
-                  ) -> dict[int, list[Tag]]:
-    """The tags of the facet-cutting ``candidates`` (not read when the
-    cone has dimension at most 1), grouped by the facet's generator set.
-    A candidate is the bitmask of the edges on its hyperplane and a tag
-    or, for an independent set, the bitmask of its vertices; tags are
-    built for facet cutters only."""
-    dim = cone_dimension(g)
-    if dim <= 1:
-        return {}
-    groups: dict[int, list[Tag]] = {}
-    for on, tag in candidates:
-        # the rank never exceeds the edge count
-        if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
-            if isinstance(tag, int):
-                tag = IndependentSetTag(tuple(_members(tag)))
-            groups.setdefault(on, []).append(tag)
-    return groups
+def _connected(masks: Sequence[int], members: int) -> bool:
+    """Whether the vertex bitmask ``members`` is nonempty and induces a
+    connected subgraph."""
+    return bool(members) and _reach(masks, members & -members, members) == members
 
 
 def _halfspace(g: Graph, tag: Tag) -> Halfspace:
@@ -304,13 +271,33 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     larger.  Close-by-One lists the closed sets, so the cost follows
     their number, not the number of independent sets.
     """
-    result = []
-    groups = _facet_groups(g, _candidates(g, max_vertices, _facet_sets))
-    for on, tags in groups.items():
-        tag = min(tags, key=_tag_sort_key)
-        result.append(Facet(_halfspace(g, tag), tuple(_members(on))))
-    result.sort(key=lambda f: _tag_sort_key(f.halfspace.plane.tag))
-    return tuple(result)
+    dim = cone_dimension(g)
+    if dim <= 1:
+        return ()
+    check_gate(g, max_vertices)
+    masks = adjacency_masks(g)
+    incident = [0] * g.vertex_count  # edges at each vertex
+    for idx, (i, j) in enumerate(g.edges):
+        incident[i] |= 1 << idx
+        incident[j] |= 1 << idx
+    everything = (1 << len(g.edges)) - 1
+    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+    coordinates = ((everything & ~incident[v], CoordinateTag(v))
+                   for v in range(g.vertex_count))
+    # on A's hyperplane: every edge but those that touch N(A) and miss A
+    sets = ((everything & ~(_union(incident, na) & ~_union(incident, a)),
+             a | isolated & ((1 << (a.bit_length() - 1)) - 1))
+            for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated))
+    groups: dict[int, list[Tag]] = {}
+    for on, tag in chain(coordinates, sets):
+        # the rank never exceeds the edge count
+        if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
+            if isinstance(tag, int):
+                tag = IndependentSetTag(tuple(_members(tag)))
+            groups.setdefault(on, []).append(tag)
+    chosen = sorted(((min(tags, key=_tag_sort_key), on) for on, tags in groups.items()),
+                    key=lambda pair: _tag_sort_key(pair[0]))
+    return tuple(Facet(_halfspace(g, tag), tuple(_members(on))) for tag, on in chosen)
 
 
 def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
@@ -322,24 +309,6 @@ def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
         raise GraphRequirementError(
             "operation requires a connected bipartite graph")
     return g.bipartitions[0]
-
-
-def _induced_connected(g: Graph, members: Iterable[int]) -> bool:
-    """Connectivity of the induced subgraph (empty graphs excluded,
-    single vertices connected)."""
-    mset = set(members)
-    if not mset:
-        return False
-    start = min(mset)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors[v]:
-            if w in mset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == mset
 
 
 def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
@@ -359,9 +328,10 @@ def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
     if not set(members) < set(side1):
         raise ValueError(
             f"vertex set {members} is not strictly inside side 1 {side1}")
-    closed = set(members) | set(neighbor_set(g, members))
-    rest = set(range(g.vertex_count)) - closed
-    return _induced_connected(g, closed) and _induced_connected(g, rest)
+    masks = adjacency_masks(g)
+    closed = sum(1 << v for v in members + neighbor_set(g, members))
+    rest = ((1 << g.vertex_count) - 1) & ~closed
+    return _connected(masks, closed) and _connected(masks, rest)
 
 
 def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
@@ -392,57 +362,69 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     return independent_set_halfspace(g, complement)
 
 
-def _canonical_tag(tags: list[Tag], side1: VertexSet, side2: VertexSet) -> Tag:
-    """Pick the unique canonical tag of one facet: a side-2 coordinate if
-    available, else the single independent set strictly inside side 1."""
-    side2_coords = [t for t in tags
-                    if isinstance(t, CoordinateTag) and t.vertex in side2]
-    if side2_coords:
-        return min(side2_coords, key=_tag_sort_key)
-    side1_sets = [t for t in tags
-                  if isinstance(t, IndependentSetTag)
-                  and set(t.vertices) < set(side1)]
-    if len(side1_sets) != 1:
-        raise AssertionError(
-            f"expected exactly one side-1 tag per facet, got {side1_sets}")
-    return side1_sets[0]
+def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
+    """The directed bonds of a connected bipartite graph with an edge, as
+    bitmasks of ``S``: the splits ``(S, T)`` of ``V`` into two connected
+    induced subgraphs where every edge between them has its side-1 end
+    in ``T``, the minimal directed cuts of the orientation from side 2 to
+    side 1 (Lucchesi and Younger 1978).
 
+    They match the facets one to one when ``n >= 3``.  The on-edges of a
+    facet have rank ``n - 2``, so they form two bipartite components; a
+    normal vanishing on them is ``a`` and ``-a`` on the sides of one and
+    ``b`` and ``-b`` on the other, so the off-edges join the two and are
+    worth ``a - b`` or ``b - a`` by direction: they all run one way.
+    Back, the halfspace of ``S & side1`` (of ``x_w`` if ``S = {w}``) has
+    the edges inside ``S`` and ``T`` on it and the cut, which fixes the
+    bond, on its open side.
 
-def _canonical(g: Graph, candidates: Iterable[tuple[int, Tag | int]]
-               ) -> ConeRepresentation:
-    """Canonical representation of a connected bipartite graph from the
-    facets among ``candidates``, each with the edges on its hyperplane."""
-    side1, side2 = g.bipartitions[0]
-    equations = affine_hull(g)
-    if cone_dimension(g) <= 1:
-        halfspaces = tuple(coordinate_halfspace(g, v) for v in side2)
-        return ConeRepresentation(equations, halfspaces, "canonical_bipartite")
-    chosen = [_canonical_tag(tags, side1, side2)
-              for tags in _facet_groups(g, candidates).values()]
-    chosen.sort(key=_tag_sort_key)
-    return ConeRepresentation(equations, tuple(_halfspace(g, t) for t in chosen),
-                              "canonical_bipartite")
-
-
-def _one_sided_sets(g: Graph, masks: Sequence[int]):
-    """The closed sets inside side 1 of a connected bipartite graph, then
-    the sets ``side1 - {u}`` that are not closed.
-
-    ``_canonical_tag`` chooses a side-2 coordinate or the one set
-    strictly inside side 1, and by the proof in ``facets`` a side-1 set
-    that cuts a facet and is not closed is ``side1 - {u}``: so every
-    canonical tag is a coordinate, a closed side-1 set or one of these.
-    The closure of a side-1 set stays on side 1 (a side-2 vertex has its
-    neighbors on side 1, outside ``N(A)``), so side 1 is walked alone.
+    Flashlight search (Read and Tarjan 1975) grows ``I`` inside ``S``,
+    connected and closed (a side-1 member brings its neighbors), and
+    ``O`` inside ``T``.  A node is live iff ``I`` and ``O`` are disjoint,
+    ``V - I`` is not empty and ``O`` lies in one component ``C`` of
+    ``G - I``.  Then ``S = V - C`` is a bond: it is connected through
+    ``I``, and an edge from ``C`` meets ``I`` on side 2, as side-1
+    members of ``I`` have all their neighbors in ``I``.  A live node
+    splits on the lowest ``v`` next to ``I`` and outside ``O``, into
+    ``I + v`` closed and ``O + v``, live iff ``v`` is in ``C``.  With no
+    such ``v``, every component of ``G - I`` meets ``O``, so ``S = I``.
+    The root ``r = min S`` starts from ``{r}`` closed, with the vertices
+    below ``r`` in ``O``.  The depth is at most ``n`` and a node costs at
+    most two bitmask searches, so the delay is ``O(n (n + m))``.
     """
-    side1 = sum(1 << v for v in g.bipartitions[0][0])
-    for a, na in _closed_sets(masks, side1):
-        yield a, na, a
-    for u in _members(side1):
-        a = side1 & ~(1 << u)
-        na = _union(masks, a)
-        if a and not masks[u] & ~na:  # skip the closed ones, walked above
-            yield a, na, a
+    everything = (1 << len(masks)) - 1
+
+    def grow(inner: int, near: int, bit: int) -> tuple[int, int]:
+        """``I + v`` closed, with its closed neighborhood ``near``."""
+        v = bit.bit_length() - 1
+        if bit & side1:
+            return inner | bit | masks[v], near | masks[v] | _union(masks, masks[v])
+        return inner | bit, near | bit | masks[v]
+
+    def live(inner: int, near: int, outer: int):
+        """The node with ``C`` (0 while ``O`` is empty), or None if dead."""
+        rest = everything & ~inner
+        if inner & outer or not rest:
+            return None
+        component = _reach(masks, outer & -outer, rest)
+        return None if outer & ~component else (inner, near, outer, component)
+
+    roots = (live(*grow(0, 0, 1 << r), (1 << r) - 1) for r in range(len(masks)))
+    stack = [node for node in roots if node]
+    while stack:
+        inner, near, outer, component = stack.pop()
+        frontier = near & ~inner & ~outer
+        if not frontier:
+            yield inner
+            continue
+        bit = frontier & -frontier
+        if not outer:
+            component = _reach(masks, bit, everything & ~inner)
+        if bit & component:  # O + v stays in C
+            stack.append((inner, near, outer | bit, component))
+        node = live(*grow(inner, near, bit), outer)
+        if node:
+            stack.append(node)
 
 
 def canonical_representation(g: Graph,
@@ -452,32 +434,45 @@ def canonical_representation(g: Graph,
     each tagged by an independent set strictly inside side 1 or by a
     side-2 coordinate.
 
-    Cones of dimension at most 1 (a single edge) have no facets; the
-    representation then carries the coordinate halfspaces that carve the
-    ray out of its affine hull.
+    Each directed bond ``(S, T)`` (see ``_directed_bonds``) is one
+    facet, tagged ``x_w`` if ``S = {w}`` and else ``S & side1``: a
+    connected ``T`` has a side-1 vertex, or its edges would run the
+    wrong way.  No rank is taken.  A single edge has no facet, and its
+    one bond gives the side-2 coordinate that carves out the ray.
     """
-    _sides(g)
+    side1 = _sides(g)[0]
     if not g.edges:
         raise GraphRequirementError(
             "canonical representation requires at least one edge")
-    return _canonical(g, _candidates(g, max_vertices, _one_sided_sets))
+    if cone_dimension(g) > 1:
+        check_gate(g, max_vertices)
+    side1_mask = sum(1 << v for v in side1)
+    tags = sorted((CoordinateTag(s.bit_length() - 1) if s & (s - 1) == 0
+                   else IndependentSetTag(tuple(_members(s & side1_mask)))
+                   for s in _directed_bonds(adjacency_masks(g), side1_mask)),
+                  key=_tag_sort_key)
+    return ConeRepresentation(affine_hull(g), tuple(_halfspace(g, t) for t in tags),
+                              "canonical_bipartite")
 
 
 def remove_redundant(g: Graph, rep: ConeRepresentation) -> ConeRepresentation:
     """Reduce the full representation of a connected bipartite graph to
     the canonical irreducible one.
 
-    Keeps the coordinate and side-1 set halfspaces, the only tags
-    ``_canonical_tag`` chooses, drops every one failing the facet rank
-    criterion, merges those that cut the same facet, and re-tags each
-    facet canonically.
+    Keeps, in tag order, the side-2 coordinate and side-1 set halfspaces
+    whose on-edges have rank ``cone_dimension - 1``; by uniqueness each
+    facet has exactly one.  A single edge keeps its side-2 coordinate.
     """
-    side1 = set(_sides(g)[0])
+    side1, side2 = (set(side) for side in _sides(g))
     if rep.kind != "full":
         raise ValueError(f"expected a full representation, got kind={rep.kind!r}")
-    side1_tags = ((sum(1 << idx for idx in _side_split(g, h.plane.normal)[0]),
-                   h.plane.tag)
-                  for h in rep.halfspaces
-                  if not isinstance(h.plane.tag, IndependentSetTag)
-                  or side1.issuperset(h.plane.tag.vertices))
-    return _canonical(g, side1_tags)
+    dim = cone_dimension(g)
+    kept = []
+    for h in rep.halfspaces:
+        tag = h.plane.tag
+        if (isinstance(tag, CoordinateTag) and tag.vertex in side2
+                or isinstance(tag, IndependentSetTag) and side1.issuperset(tag.vertices)
+                ) and face_dimension(g, h) == dim - 1:
+            kept.append(h)
+    kept.sort(key=lambda h: _tag_sort_key(h.plane.tag))
+    return ConeRepresentation(affine_hull(g), tuple(kept), "canonical_bipartite")

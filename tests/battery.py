@@ -37,6 +37,14 @@ def star(leaves: int) -> Graph:
     return build(leaves + 1, [(i, leaves) for i in range(leaves)])
 
 
+def spider(legs: int) -> Graph:
+    """A center (vertex 0) joined to ``legs`` middle vertices, each with
+    one leaf: the closed side-1 sets number ``2**legs``, the facets
+    ``2 * legs``."""
+    return build(2 * legs + 1, [(0, i) for i in range(1, legs + 1)]
+                 + [(i, legs + i) for i in range(1, legs + 1)])
+
+
 def complete(n: int) -> Graph:
     return build(n, itertools.combinations(range(n), 2))
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
-                      IndependentSetTag, affine_hull, cone_dimension,
-                      coordinate_halfspace, edge_vectors, fm_membership,
-                      full_representation, independent_set_halfspace,
-                      independent_sets, membership, neighbor_set, parse_graph,
-                      rational_rank)
+                      IndependentSetTag, affine_hull, canonical_representation,
+                      cone_dimension, coordinate_halfspace, edge_vectors,
+                      fm_membership, full_representation,
+                      independent_set_halfspace, independent_sets, membership,
+                      neighbor_set, parse_graph, rational_rank)
 from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
 from battery import (build, complete_bipartite, cycle, path, random_connected,
                      star, standard_battery)
@@ -164,6 +164,13 @@ def test_membership_accepts_exact_decimal_and_fraction_strings():
 def test_membership_rejects_inexact_coordinates(inexact):
     with pytest.raises(ValueError, match="int or Fraction"):
         membership(SINGLE, (inexact, inexact))
+    # so do the halfspace tests: in floats, the exact member
+    # (1/10, 3/10, 2/10) of a path's cone misses the balance equation
+    rep = canonical_representation(parse_graph("a b\nb c"))
+    assert rep.satisfied_by((Fraction(1, 10), Fraction(3, 10), Fraction(2, 10)))
+    for check in (rep.satisfied_by, rep.halfspaces[0].margin):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            check((inexact, 0, 0))
 
 
 def test_fm_membership_rejects_floats():

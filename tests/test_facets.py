@@ -13,12 +13,13 @@ from edgecone import (CoordinateTag, EnumerationGateError, GraphRequirementError
                       independent_sets, is_facet, membership, neighbor_set,
                       parse_graph, rational_rank, remove_redundant)
 from edgecone.cone import Hyperplane
-from edgecone.facets import _edge_rank, _induced_connected
+from edgecone.facets import _edge_rank
 from edgecone.rational import dot
-from battery import (all_graphs, build, combinatorial_facet_sets,
-                     complete_bipartite, connected_graphs_upto, cycle, path,
+from battery import (_induced_connected, all_graphs, bipartite_battery, build,
+                     combinatorial_facet_sets, complete_bipartite,
+                     connected_graphs_upto, cycle, path,
                      random_connected_bipartite, reference_canonical,
-                     reference_facets, standard_battery, star)
+                     reference_facets, spider, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)  # leaves 0,1,2 ; center 3
@@ -276,6 +277,13 @@ def test_facets_and_canonical_refuse_graphs_above_the_gate():
         with pytest.raises(EnumerationGateError,
                            match="21 vertices exceed the gate of 20"):
             call(path(21))
+    # the gate follows the dimension check: a single edge has no facet
+    # and is answered at any gate
+    single = parse_graph("a b")
+    assert facets(single, max_vertices=0) == ()
+    assert [h.plane.tag for h in
+            canonical_representation(single, max_vertices=0).halfspaces] == [
+        CoordinateTag(1)]
 
 
 def test_closed_sets_match_the_all_sets_route_exhaustively():
@@ -288,7 +296,9 @@ def test_closed_sets_match_the_all_sets_route_exhaustively():
     for g in graphs:
         assert facets(g) == reference_facets(g), (g.vertex_count, g.edges)
         if g.edges and g.is_connected() and g.is_bipartite():
-            assert canonical_representation(g) == reference_canonical(g), g.edges
+            reference = reference_canonical(g)
+            assert canonical_representation(g) == reference, g.edges
+            assert remove_redundant(g, full_representation(g)) == reference, g.edges
 
 
 def test_closed_sets_on_a_16_vertex_bipartite_graph():
@@ -305,6 +315,33 @@ def test_remove_redundant_equals_canonical():
     for g in (cycle(4), cycle(6), K13, K23, path(5), parse_graph("a b")):
         assert remove_redundant(g, full_representation(g)) == \
             canonical_representation(g)
+    # the two routes share no code: rank over a full representation,
+    # and directed bonds
+    for g in bipartite_battery():
+        if g.edges:
+            reference = reference_canonical(g)
+            assert remove_redundant(g, full_representation(g)) == reference, g.edges
+            assert canonical_representation(g) == reference, g.edges
+
+
+def test_canonical_on_spiders():
+    # the closed side-1 sets number 2**k here, the facets 2k
+    for k in range(1, 11):
+        g = spider(k)
+        assert canonical_representation(g, max_vertices=21) == \
+            reference_canonical(g), k
+    g = spider(16)
+    side1, side2 = g.bipartitions[0]
+    rep = canonical_representation(g, max_vertices=33)
+    assert len(rep.halfspaces) == 32
+    for h in rep.halfspaces:
+        tag = h.plane.tag
+        if isinstance(tag, CoordinateTag):
+            assert tag.vertex in side2
+            assert _induced_connected(
+                g, set(range(g.vertex_count)) - {tag.vertex}), tag
+        else:
+            assert bipartite_facet_check(g, tag.vertices), tag
 
 
 def test_remove_redundant_drops_mixed_sets():
