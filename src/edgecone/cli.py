@@ -129,13 +129,12 @@ def _run_command(args) -> tuple[dict, int, str]:
                    f"{len(rep.halfspaces)} irreducible halfspaces")
     elif args.command == "facets":
         facet_list = facets(g, args.max_n)
-        dim = cone_dimension(g)
-        non_facet = []
-        for v in range(g.vertex_count):
-            face_dim = face_dimension(g, coordinate_halfspace(g, v))
-            # as in is_facet: cones of dimension at most 1 have no facet
-            if dim <= 1 or face_dim != dim - 1:
-                non_facet.append((v, face_dim))
+        # x_v cuts a facet iff the edges off v are that facet's generators
+        spans = {f.generators_on for f in facet_list}
+        non_facet = [(v, face_dimension(g, coordinate_halfspace(g, v)))
+                     for v in range(g.vertex_count)
+                     if tuple(k for k, edge in enumerate(g.edges) if v not in edge)
+                     not in spans]
         doc.update(facets_doc(facet_list, g, non_facet))
         summary = f"{len(facet_list)} facets"
     elif args.command == "member":

@@ -3,12 +3,13 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs, and ``facets`` and ``remove_redundant`` take it.  The rank is
-the edge-cone dimension of the subgraph those edges form, so no
-elimination runs here; only the oracle eliminates.  For a connected
-bipartite graph the facets are the directed bonds, which
-``canonical_representation`` lists with no rank, and the cone has a
-unique irreducible representation whose halfspaces are tagged by
+graphs, and ``remove_redundant`` takes it, as does ``facets`` on all
+but connected bipartite graphs.  The rank is the edge-cone dimension of
+the subgraph those edges form, so no elimination runs here; only the
+oracle eliminates.  For a connected bipartite graph the facets are the
+directed bonds, and ``facets``, ``canonical_representation`` and
+``dual_facet`` read their tags off the bonds with no rank; the cone has
+a unique irreducible representation whose halfspaces are tagged by
 independent sets strictly inside side 1 plus coordinate halfspaces of
 side-2 vertices.
 
@@ -16,14 +17,17 @@ Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
 same facet, so normals alone are not a usable identity.
 
-The candidates of ``facets`` are the coordinate hyperplanes and the
-closed independent sets, the independent extents of the formal concepts
-of the non-adjacency relation (Ganter and Wille 1999), which
-Close-by-One lists on vertex bitmasks; ``facets`` proves that no other
-set is needed.  Each candidate is decided from bitmasks of its vertices
-and edges, and a ``Halfspace`` is built only for the tag that a facet
-keeps, so the cost follows the number of closed sets, not the number of
-independent sets (``full_representation`` still lists all of those).
+On a connected bipartite graph ``facets`` tags each directed bond with
+the smallest of the at most three tags that cut its facet, so its cost
+follows the number of facets.  On other graphs its candidates are the
+coordinate hyperplanes and the closed independent sets, the independent
+extents of the formal concepts of the non-adjacency relation (Ganter
+and Wille 1999), which Close-by-One lists on vertex bitmasks; ``facets``
+proves both candidate lists complete.  Each closed set is decided from
+bitmasks of its vertices and edges, and a ``Halfspace`` is built only
+for the tag that a facet keeps, so that cost follows the number of
+closed sets, not the number of independent sets
+(``full_representation`` still lists all of those).
 """
 
 from __future__ import annotations
@@ -218,6 +222,15 @@ def _tag_sort_key(tag: Tag):
     return (1, -1, tag.vertices)
 
 
+def _bond_tag(part: int, side: int) -> Tag:
+    """The tag a directed bond gives through one of its halves ``part``:
+    ``x_v`` when ``part = {v}``, else the members of ``part`` on
+    ``side``, all as bitmasks."""
+    if part & (part - 1) == 0:
+        return CoordinateTag(part.bit_length() - 1)
+    return IndependentSetTag(tuple(_members(part & side)))
+
+
 def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, ...]:
     """All facets of the edge cone, one entry per facet.
 
@@ -227,9 +240,35 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     lexicographically smallest set.  Output order: coordinate-tagged
     facets by index, then set-tagged facets lexicographically.
 
-    Only the closed sets need testing: independent sets ``A`` such that
-    every non-isolated ``u`` with ``N(u) <= N(A)`` lies in ``A``.  Let
-    ``R = V - A - N(A)``.  An edge lies on ``A``'s hyperplane iff it
+    A connected bipartite graph has one facet per directed bond
+    ``(S, T)`` (see ``_directed_bonds``): the edges inside ``S`` and
+    inside ``T`` lie on it and the cut does not, each cut edge running
+    from side 2 in ``S`` to side 1 in ``T``.  Its tag is the smallest of
+    ``_bond_tag(S, side1)``, ``_bond_tag(T, side2)`` and the set
+    ``(S & side1) + (T & side2)``, and no rank is taken, for these are
+    the only tags whose hyperplane holds exactly those edges.  Off the
+    plane of ``x_v`` lie the edges at ``v``; they are the cut only if
+    ``v`` has no neighbor in its own half, which is connected and so is
+    ``{v}``.  Off the plane of an independent ``A`` lie the edges that
+    touch ``N(A)`` and miss ``A``.  If ``A`` meets ``S``, the edges
+    inside ``S`` are on the plane, so the neighbors in ``S`` of a member
+    lie in ``N(A)`` and theirs in ``A``: ``A`` holds a colour class of
+    the connected ``S``.  It is not ``S & side2``, or the cut edges
+    would touch ``A`` and lie on the plane.  Likewise ``A`` meets ``T``
+    in nothing or in ``T & side2``, and not in nothing both times.
+    Back, a side-1 vertex of ``S`` has no neighbor in ``T``, and in a
+    connected ``S`` of two or more vertices every side-2 vertex has one
+    on side 1, so ``N(S & side1) = S & side2``: the plane holds the
+    edges inside ``S`` and inside the rest, ``T``, and not the cut.
+    ``T & side2`` is the mirror image.  No edge joins the two, and their
+    union has the neighbors ``(S & side2) + (T & side1)``, which only
+    the cut edges join to each other.  So the minimum is the tag that
+    the closed-set route below picks for the same facet.
+
+    Other graphs test the coordinates and the closed sets, and no other
+    set is needed.  The closed sets are the independent sets ``A`` such
+    that every non-isolated ``u`` with ``N(u) <= N(A)`` lies in ``A``.
+    Let ``R = V - A - N(A)``.  An edge lies on ``A``'s hyperplane iff it
     joins ``A`` to ``N(A)`` or lies inside ``R``; call the graph of those
     edges ``H``, on all of ``V``.  The face has rank ``n`` minus the
     bipartite components of ``H`` and the cone has dimension ``n`` minus
@@ -281,22 +320,33 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
         incident[i] |= 1 << idx
         incident[j] |= 1 << idx
     everything = (1 << len(g.edges)) - 1
-    isolated = sum(1 << v for v, m in enumerate(masks) if not m)
-    coordinates = ((everything & ~incident[v], CoordinateTag(v))
-                   for v in range(g.vertex_count))
-    # on A's hyperplane: every edge but those that touch N(A) and miss A
-    sets = ((everything & ~(_union(incident, na) & ~_union(incident, a)),
-             a | isolated & ((1 << (a.bit_length() - 1)) - 1))
-            for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated))
-    groups: dict[int, list[Tag]] = {}
-    for on, tag in chain(coordinates, sets):
-        # the rank never exceeds the edge count
-        if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
-            if isinstance(tag, int):
-                tag = IndependentSetTag(tuple(_members(tag)))
-            groups.setdefault(on, []).append(tag)
-    chosen = sorted(((min(tags, key=_tag_sort_key), on) for on, tags in groups.items()),
-                    key=lambda pair: _tag_sort_key(pair[0]))
+    if g.is_connected() and g.is_bipartite():
+        side1 = sum(1 << v for v in g.bipartitions[0][0])
+        chosen = []
+        for s in _directed_bonds(masks, side1):
+            t = ((1 << g.vertex_count) - 1) & ~s
+            tag = min(_bond_tag(s, side1), _bond_tag(t, ~side1),
+                      IndependentSetTag(tuple(_members(s & side1 | t & ~side1))),
+                      key=_tag_sort_key)
+            # on the bond's facet: every edge but the cut
+            chosen.append((tag, everything & ~(_union(incident, s) & _union(incident, t))))
+    else:
+        isolated = sum(1 << v for v, m in enumerate(masks) if not m)
+        coordinates = ((everything & ~incident[v], CoordinateTag(v))
+                       for v in range(g.vertex_count))
+        # on A's hyperplane: every edge but those that touch N(A) and miss A
+        sets = ((everything & ~(_union(incident, na) & ~_union(incident, a)),
+                 a | isolated & ((1 << (a.bit_length() - 1)) - 1))
+                for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated))
+        groups: dict[int, list[Tag]] = {}
+        for on, tag in chain(coordinates, sets):
+            # the rank never exceeds the edge count
+            if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
+                if isinstance(tag, int):
+                    tag = IndependentSetTag(tuple(_members(tag)))
+                groups.setdefault(on, []).append(tag)
+        chosen = [(min(tags, key=_tag_sort_key), on) for on, tags in groups.items()]
+    chosen.sort(key=lambda pair: _tag_sort_key(pair[0]))
     return tuple(Facet(_halfspace(g, tag), tuple(_members(on))) for tag, on in chosen)
 
 
@@ -338,28 +388,17 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     """The side-2 description of a facet cut by an independent set
     strictly inside side 1.
 
-    If the set's neighbors exhaust side 2, the facet is the coordinate
-    halfspace of the one missing side-1 vertex; otherwise it is the
-    halfspace of the complementary independent set inside side 2 (whose
-    neighbor set is exactly the side-1 complement).
+    The set and its neighbors form the half ``S`` of a directed bond
+    ``(S, T)`` (see ``_directed_bonds``), and the facet is tagged by the
+    other half: ``x_v`` if ``T = {v}``, else ``T & side2``.
     """
-    side1, side2 = _sides(g)
+    side1 = _sides(g)[0]
     members = vertex_set(g, a)
     if not bipartite_facet_check(g, members):
         raise ValueError(f"vertex set {members} does not cut a facet")
-    neighbors = neighbor_set(g, members)
-    if set(neighbors) == set(side2):
-        missing = sorted(set(side1) - set(members))
-        if len(missing) != 1:
-            raise AssertionError(
-                f"facet with full neighbor side must omit exactly one "
-                f"side-1 vertex, got {missing}")
-        return coordinate_halfspace(g, missing[0])
-    complement = tuple(sorted(set(side2) - set(neighbors)))
-    if set(neighbor_set(g, complement)) != set(side1) - set(members):
-        raise AssertionError(
-            f"dual set {complement} does not neighbor the side-1 complement")
-    return independent_set_halfspace(g, complement)
+    closed = sum(1 << v for v in members + neighbor_set(g, members))
+    rest = ((1 << g.vertex_count) - 1) & ~closed
+    return _halfspace(g, _bond_tag(rest, ~sum(1 << v for v in side1)))
 
 
 def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
@@ -447,8 +486,7 @@ def canonical_representation(g: Graph,
     if cone_dimension(g) > 1:
         check_gate(g, max_vertices)
     side1_mask = sum(1 << v for v in side1)
-    tags = sorted((CoordinateTag(s.bit_length() - 1) if s & (s - 1) == 0
-                   else IndependentSetTag(tuple(_members(s & side1_mask)))
+    tags = sorted((_bond_tag(s, side1_mask)
                    for s in _directed_bonds(adjacency_masks(g), side1_mask)),
                   key=_tag_sort_key)
     return ConeRepresentation(affine_hull(g), tuple(_halfspace(g, t) for t in tags),

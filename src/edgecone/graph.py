@@ -15,8 +15,9 @@ from typing import Iterable, Iterator
 
 from .errors import EdgeListParseError, EnumerationGateError
 
-# Enumerating independent sets is exponential in the vertex count; the
-# gate keeps it from being triggered by accident.  Override per call.
+# Enumerating independent sets, closed sets or directed bonds can take
+# time exponential in the vertex count; the gate keeps that from being
+# triggered by accident.  Override per call.
 DEFAULT_MAX_VERTICES = 20
 
 VertexSet = tuple[int, ...]
@@ -178,11 +179,14 @@ def is_independent(g: Graph, a: Iterable[int]) -> bool:
 
 
 def check_gate(g: Graph, max_vertices: int) -> None:
-    """Refuse graphs above the vertex gate of an exponential enumeration."""
+    """Refuse graphs above the vertex gate of an enumeration whose output
+    can grow exponentially (independent sets, closed sets or directed
+    bonds)."""
     if g.vertex_count > max_vertices:
         raise EnumerationGateError(
             f"{g.vertex_count} vertices exceed the gate of {max_vertices}: "
-            f"refusing exponential enumeration of independent sets")
+            f"refusing a possibly exponential enumeration; raise the gate "
+            f"with max_vertices= (--max-n on the command line)")
 
 
 def adjacency_masks(g: Graph) -> list[int]:

@@ -114,12 +114,7 @@ def has_perfect_matching(g: Graph) -> MatchingResult:
     ones = (1,) * g.vertex_count
     result = integer_decompose(g, ones)
     if result:
-        matching = []
-        for edge_index, count in result.decomposition.multiplicities:
-            if count != 1:
-                raise AssertionError(
-                    f"all-ones decomposition used edge {edge_index} "
-                    f"{count} times")
-            matching.append(edge_index)
-        return MatchingResult(True, matching=tuple(matching))
+        # an edge arc carries at most the unit its source arc brings in
+        return MatchingResult(True, matching=tuple(
+            k for k, _ in result.decomposition.multiplicities))
     return MatchingResult(False, violator=result.violated.plane.tag.vertices)

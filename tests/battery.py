@@ -414,12 +414,17 @@ def _all_sets_groups(g: Graph, one_sided_only: bool = False) -> dict:
             candidates.append(independent_set_halfspace(g, a))
     groups = {}
     for h in candidates:
-        normal = h.plane.normal
-        on = tuple(idx for idx, (i, j) in enumerate(g.edges)
-                   if normal[i] + normal[j] == 0)
         if face_dimension(g, h) == dim - 1:
-            groups.setdefault(on, []).append(h)
+            groups.setdefault(on_edges(g, h), []).append(h)
     return groups
+
+
+def on_edges(g: Graph, h) -> tuple[int, ...]:
+    """The indices of the edges on the hyperplane of the halfspace
+    ``h``."""
+    normal = h.plane.normal
+    return tuple(idx for idx, (i, j) in enumerate(g.edges)
+                 if normal[i] + normal[j] == 0)
 
 
 def reference_facets(g: Graph) -> tuple:

@@ -82,6 +82,18 @@ def test_facets_star_reports_non_facet_center(graph_file, capsys):
         {"vertex": "d", "face_dimension": 0}]
 
 
+def test_facets_counts_a_facet_coordinate_that_lost_the_tag(graph_file, capsys):
+    # x_a and x_b cut the same facet, tagged x_a; neither is a non-facet
+    code, out, _ = run(capsys, "facets", graph_file("a b\nc d\nd e\n"))
+    assert code == 0
+    doc = json.loads(out)
+    assert [f["tag"] for f in doc["facets"]] == [
+        {"kind": "coordinate", "vertex": "a"}, {"kind": "coordinate", "vertex": "c"},
+        {"kind": "coordinate", "vertex": "e"}]
+    assert doc["non_facet_coordinates"] == [
+        {"vertex": "d", "face_dimension": 1}]
+
+
 def test_member_round_trip(graph_file, capsys):
     code, out, _ = run(capsys, "member", graph_file(TRIANGLE), "1/2,1/2,1/2")
     assert code == 0

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from edgecone.facets import _edge_rank
 from edgecone.rational import dot
 from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      combinatorial_facet_sets, complete_bipartite,
-                     connected_graphs_upto, cycle, path,
+                     connected_graphs_upto, cycle, on_edges, path,
                      random_connected_bipartite, reference_canonical,
                      reference_facets, spider, standard_battery, star)
 
@@ -288,8 +289,10 @@ def test_facets_and_canonical_refuse_graphs_above_the_gate():
 
 def test_closed_sets_match_the_all_sets_route_exhaustively():
     # every labeled graph on at most 5 vertices (isolated vertices and
-    # disconnected graphs included) and a seeded sample of 6-vertex ones
+    # disconnected graphs included), every connected bipartite one on 6
+    # and a seeded sample of other 6-vertex ones
     graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [g for g in all_graphs(6) if g.is_connected() and g.is_bipartite()]
     pairs = list(itertools.combinations(range(6), 2))
     for bits in random.Random(6).sample(range(1 << len(pairs)), 1500):
         graphs.append(build(6, [p for k, p in enumerate(pairs) if bits >> k & 1]))
@@ -299,6 +302,23 @@ def test_closed_sets_match_the_all_sets_route_exhaustively():
             reference = reference_canonical(g)
             assert canonical_representation(g) == reference, g.edges
             assert remove_redundant(g, full_representation(g)) == reference, g.edges
+
+
+def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):
+    # the directed bonds give the facets and their tags: no closed set
+    # is listed and no rank is taken
+    graphs = [g for g in bipartite_battery() if g.is_connected()]
+    graphs += [spider(4), random_connected_bipartite(12, random.Random(3), 0.2)]
+    expected = [reference_facets(g) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("called on a connected bipartite graph")
+
+    module = importlib.import_module("edgecone.facets")  # the package shadows it
+    monkeypatch.setattr(module, "_closed_sets", refuse)
+    monkeypatch.setattr(module, "_edge_rank", refuse)
+    for g, reference in zip(graphs, expected):
+        assert facets(g) == reference, g.edges
 
 
 def test_closed_sets_on_a_16_vertex_bipartite_graph():
@@ -330,10 +350,14 @@ def test_canonical_on_spiders():
         g = spider(k)
         assert canonical_representation(g, max_vertices=21) == \
             reference_canonical(g), k
+        assert facets(g, max_vertices=21) == reference_facets(g), k
     g = spider(16)
     side1, side2 = g.bipartitions[0]
     rep = canonical_representation(g, max_vertices=33)
     assert len(rep.halfspaces) == 32
+    fs = facets(g, max_vertices=33)
+    assert len(fs) == 32
+    assert {f.generators_on for f in fs} == {on_edges(g, h) for h in rep.halfspaces}
     for h in rep.halfspaces:
         tag = h.plane.tag
         if isinstance(tag, CoordinateTag):

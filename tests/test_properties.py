@@ -22,7 +22,7 @@ from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
                       canonical_representation, edge_vectors, facets,
                       fm_membership, has_perfect_matching, integer_decompose,
                       is_independent, membership, neighbor_set)
-from battery import (build, check_witness, combinatorial_facet_sets,
+from battery import (build, check_witness, combinatorial_facet_sets, on_edges,
                      reference_canonical, reference_facets,
                      reference_hall_violator, scan_membership)
 
@@ -172,6 +172,11 @@ def test_rank_brute_force_and_connectivity_facets_coincide(g):
 @PROPERTY
 @given(st.one_of(graphs(), unions(), connected_bipartite_graphs()))
 def test_closed_sets_match_the_all_sets_route(g):
-    assert facets(g) == reference_facets(g)
+    fs = facets(g)
+    assert fs == reference_facets(g)
     if g.edges and g.is_connected() and g.is_bipartite():
-        assert canonical_representation(g) == reference_canonical(g)
+        rep = canonical_representation(g)
+        assert rep == reference_canonical(g)
+        if fs:  # a single edge has no facet but one halfspace
+            assert {f.generators_on for f in fs} == \
+                {on_edges(g, h) for h in rep.halfspaces}
