@@ -13,10 +13,11 @@ Dimensions come from graph combinatorics; elimination is oracle-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet,
-                    bipartite_component_count, independent_sets, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _independent_set_normals,
+                    bipartite_component_count, vertex_set)
 from .rational import Rational, clear_denominators, dot, is_primitive
 
 SENSE_GE = ">=0"
@@ -113,6 +114,12 @@ def independent_set_halfspace(g: Graph, a: Iterable[int]) -> Halfspace:
     members = vertex_set(g, a)
     if not members:
         raise ValueError("independent set must be nonempty")
+    return _set_halfspace(g, members)
+
+
+def _set_halfspace(g: Graph, members: VertexSet) -> Halfspace:
+    """``independent_set_halfspace`` of ``members``, which the caller
+    has already made sorted, nonempty and in range."""
     normal = [0] * g.vertex_count
     for v in members:
         normal[v] = 1
@@ -161,8 +168,9 @@ def full_representation(g: Graph,
     sets lexicographically.
     """
     coords = [coordinate_halfspace(g, v) for v in range(g.vertex_count)]
-    sets = [independent_set_halfspace(g, a)
-            for a in sorted(independent_sets(g, max_vertices))]
+    sets = [Halfspace(Hyperplane(normal, IndependentSetTag(members)), SENSE_LE)
+            for members, normal in sorted(_independent_set_normals(g, max_vertices),
+                                          key=itemgetter(0))]
     return ConeRepresentation(affine_hull(g), tuple(coords + sets), "full")
 
 
@@ -348,7 +356,7 @@ def _route(g: Graph, point: Sequence[int]) -> _MaxFlow | Halfspace:
             else:
                 kept.append(v)
         if len(kept) == len(members):
-            return independent_set_halfspace(g, members)
+            return _set_halfspace(g, tuple(members))
         members = kept[::-1]
 
 

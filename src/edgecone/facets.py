@@ -37,8 +37,8 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
-                   IndependentSetTag, Tag, affine_hull, cone_dimension,
-                   coordinate_halfspace, independent_set_halfspace)
+                   IndependentSetTag, Tag, _set_halfspace, affine_hull,
+                   cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, adjacency_masks,
                     check_gate, is_independent, neighbor_set, vertex_set)
@@ -213,7 +213,7 @@ def _connected(masks: Sequence[int], members: int) -> bool:
 def _halfspace(g: Graph, tag: Tag) -> Halfspace:
     if isinstance(tag, CoordinateTag):
         return coordinate_halfspace(g, tag.vertex)
-    return independent_set_halfspace(g, tag.vertices)
+    return _set_halfspace(g, tag.vertices)
 
 
 def _tag_sort_key(tag: Tag):
@@ -325,9 +325,11 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
         chosen = []
         for s in _directed_bonds(masks, side1):
             t = ((1 << g.vertex_count) - 1) & ~s
-            tag = min(_bond_tag(s, side1), _bond_tag(t, ~side1),
-                      IndependentSetTag(tuple(_members(s & side1 | t & ~side1))),
-                      key=_tag_sort_key)
+            if s & (s - 1) and t & (t - 1):
+                s1, t2 = s & side1, t & ~side1
+                tag = IndependentSetTag(min(tuple(_members(p)) for p in (s1, t2, s1 | t2)))
+            else:  # a single-vertex half is a coordinate, which sorts first
+                tag = CoordinateTag((s if s & (s - 1) == 0 else t).bit_length() - 1)
             # on the bond's facet: every edge but the cut
             chosen.append((tag, everything & ~(_union(incident, s) & _union(incident, t))))
     else:

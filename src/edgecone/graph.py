@@ -203,27 +203,49 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
 
     Order is deterministic: by cardinality, then lexicographically.  The
     empty set is excluded (its supporting hyperplane is degenerate and
-    contributes nothing).  Each set costs a few bit operations, so the
-    work follows the number of sets, not ``2**n``.  Refuses graphs above
-    the vertex gate.
+    contributes nothing).  Each set costs a few bit operations and a
+    copy of its parent's normal, so the work follows the number of sets,
+    not ``2**n``.  Refuses graphs above the vertex gate.
     """
+    for members, _ in _independent_set_normals(g, max_vertices):
+        yield members
+
+
+def _independent_set_normals(g: Graph, max_vertices: int
+                             ) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
+    """The walk behind ``independent_sets``: each set in the same order,
+    with the normal of its halfspace, 1 on the members, -1 on their
+    neighbors and 0 elsewhere."""
     check_gate(g, max_vertices)
     n = g.vertex_count
     masks = adjacency_masks(g)
-    # Each set carries the bitmask of vertices that may still join it:
-    # above its last member and outside its neighborhood.  Extending a
-    # level in order, lowest vertex first, keeps the next level in
-    # lexicographic order.
-    level = [((v,), ((1 << n) - (2 << v)) & ~masks[v]) for v in range(n)]
+    # Each set carries its normal, the bitmask ``near`` of its members
+    # and their neighbors, and the bitmask of vertices that may still
+    # join it: above its last member and outside ``near``, which is the
+    # independence check.  A child copies its parent's normal and marks
+    # the new member and the neighbors it adds.  Extending a level in
+    # order, lowest vertex first, keeps the next level in lexicographic
+    # order.
+    level = [((), (0,) * n, 0, (1 << n) - 1)]
     while level:
         extended = []
-        for members, free in level:
-            yield members
+        for members, normal, near, free in level:
+            if members:
+                yield members, normal
             while free:
                 low = free & -free
                 free ^= low
                 w = low.bit_length() - 1
-                extended.append((members + (w,), free & ~masks[w]))
+                child = [*normal]
+                child[w] = 1
+                added = masks[w] & ~near
+                child_near = near | low | added
+                while added:
+                    bit = added & -added
+                    added ^= bit
+                    child[bit.bit_length() - 1] = -1
+                extended.append((members + (w,), tuple(child), child_near,
+                                 free & ~child_near))
         level = extended
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Rational = int | Fraction
@@ -20,7 +21,7 @@ Rational = int | Fraction
 def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
@@ -56,6 +57,10 @@ def primitive(vector: Sequence[Rational]) -> tuple[int, ...]:
 
 
 def is_primitive(vector: Sequence[Rational]) -> bool:
+    """Whether ``vector`` is nonzero and equals its ``primitive`` form.
+    An all-``int`` vector (bools excluded) needs only its gcd."""
+    if {*map(type, vector)} <= {int}:
+        return math.gcd(*vector) == 1
     return any(vector) and tuple(vector) == primitive(vector)
 
 

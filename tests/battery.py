@@ -17,6 +17,7 @@ from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
                       coordinate_halfspace, edge_vectors, face_dimension,
                       independent_set_halfspace, independent_sets,
                       is_independent, neighbor_set)
+from edgecone.cone import SENSE_LE, Halfspace, Hyperplane
 
 
 def build(n: int, edges) -> Graph:
@@ -417,6 +418,18 @@ def _all_sets_groups(g: Graph, one_sided_only: bool = False) -> dict:
         if face_dimension(g, h) == dim - 1:
             groups.setdefault(on_edges(g, h), []).append(h)
     return groups
+
+
+def neighbor_halfspace(g: Graph, a) -> Halfspace:
+    """The halfspace of the independent set ``a``, a sorted tuple, built
+    from ``g.neighbors`` apart from the library's bitmask construction."""
+    normal = [0] * g.vertex_count
+    for v in a:
+        for w in g.neighbors[v]:
+            normal[w] = -1
+    for v in a:
+        normal[v] = 1
+    return Halfspace(Hyperplane(tuple(normal), IndependentSetTag(a)), SENSE_LE)
 
 
 def on_edges(g: Graph, h) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       IndependentSetTag, affine_hull, canonical_representation,
                       cone_dimension, coordinate_halfspace, edge_vectors,
                       fm_membership, full_representation,
-                      independent_set_halfspace, independent_sets, membership,
-                      neighbor_set, parse_graph, rational_rank)
+                      independent_set_halfspace, independent_sets, is_independent,
+                      membership, neighbor_set, parse_graph, rational_rank)
 from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
-from battery import (build, complete_bipartite, cycle, path, random_connected,
-                     star, standard_battery)
+from battery import (all_graphs, bipartite_battery, build, complete_bipartite,
+                     connected_graphs_upto, cycle, neighbor_halfspace, path,
+                     random_connected, spider, star, standard_battery)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 SINGLE = parse_graph("a b")
@@ -21,13 +23,17 @@ K13 = star(3)  # leaves 0,1,2 ; center 3
 def test_hyperplane_requires_primitive_normal():
     with pytest.raises(ValueError):
         Hyperplane((2, 4))
-    with pytest.raises(ValueError):
-        Hyperplane((0, 0))
-    with pytest.raises(ValueError, match="primitive"):
-        Hyperplane((2, 0, -2))
+    for normal in ((0, 0), (2, 0, -2), (3,), ()):
+        with pytest.raises(ValueError, match="primitive"):
+            Hyperplane(normal)
     with pytest.raises(ValueError, match="primitive"):
         Hyperplane((Fraction(1, 2), 0))
-    assert Hyperplane((1, 0, -1)).normal == (1, 0, -1)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        Hyperplane((True, 0))
+    for normal in ((1, 0, -1), (1,), (6, 10, -15)):
+        assert Hyperplane(normal).normal == normal
+    # a Fraction equal to its primitive form passes, as it always has
+    assert Hyperplane((Fraction(1), -1)).normal == (Fraction(1), -1)
 
 
 def test_halfspace_sense_tag_invariants():
@@ -120,6 +126,34 @@ def test_full_representation_ordering_and_gate():
         full_representation(build(6, [(0, 1)]), max_vertices=4)
 
 
+def test_full_representation_sets_equal_independent_set_halfspaces():
+    # the walk builds each set's normal from its parent's; it must give
+    # what the one-set-at-a-time construction gives, in the same order
+    graphs = (standard_battery() + bipartite_battery()
+              + tuple(g for n in range(7) for g in all_graphs(n))
+              + tuple(spider(legs) for legs in range(1, 9)))
+    for g in graphs:
+        rep = full_representation(g)
+        assert list(rep.halfspaces[g.vertex_count:]) == [
+            independent_set_halfspace(g, a) for a in sorted(independent_sets(g))], g.edges
+
+
+def test_independent_set_halfspace_rejects_every_dependent_set():
+    for g in connected_graphs_upto(5):
+        n = g.vertex_count
+        for a in itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(1, n + 1)):
+            if is_independent(g, a):
+                assert independent_set_halfspace(g, a).plane.tag == IndependentSetTag(a)
+            else:
+                with pytest.raises(ValueError, match="not independent"):
+                    independent_set_halfspace(g, a)
+        with pytest.raises(ValueError, match="nonempty"):
+            independent_set_halfspace(g, ())
+        with pytest.raises(ValueError, match="out of range"):
+            independent_set_halfspace(g, (n,))
+
+
 def test_full_representation_isolated_vertex():
     rep = full_representation(parse_graph("a"))
     assert [e.normal for e in rep.equations] == [(1,)]
@@ -144,6 +178,22 @@ def test_membership_apex_and_dimension_mismatch():
         assert membership(g, (0,) * g.vertex_count).is_member
     with pytest.raises(ValueError, match="dimension"):
         membership(TRIANGLE, (1, 2))
+
+
+def test_membership_witnesses_equal_the_neighbor_construction():
+    rng = random.Random(41)
+    for g in standard_battery() + bipartite_battery():
+        n = g.vertex_count
+        for x in ([1] * n, [rng.randint(0, 4) for _ in range(n)],
+                  [rng.randint(-1, 4) for _ in range(n)]):
+            violated = membership(g, x).violated
+            if violated is None:
+                continue
+            tag = violated.plane.tag
+            if isinstance(tag, CoordinateTag):
+                assert violated == coordinate_halfspace(g, tag.vertex)
+            else:
+                assert violated == neighbor_halfspace(g, tag.vertices)
 
 
 def test_membership_witness_is_first_in_deterministic_order():

@@ -18,8 +18,8 @@ from edgecone.facets import _edge_rank
 from edgecone.rational import dot
 from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      combinatorial_facet_sets, complete_bipartite,
-                     connected_graphs_upto, cycle, on_edges, path,
-                     random_connected_bipartite, reference_canonical,
+                     connected_graphs_upto, cycle, neighbor_halfspace, on_edges,
+                     path, random_connected_bipartite, reference_canonical,
                      reference_facets, spider, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
@@ -195,6 +195,21 @@ def test_dual_facet_cuts_the_same_facet():
                 on_dual = [i for i, v in enumerate(vectors)
                            if dual.margin(v) == 0]
                 assert on_a == on_dual
+
+
+def test_dual_facets_equal_the_neighbor_construction():
+    for g in bipartite_battery():
+        if g.vertex_count > 6 or cone_dimension(g) <= 1:
+            continue
+        side1 = set(g.bipartitions[0][0])
+        for a in independent_sets(g):
+            if set(a) < side1 and bipartite_facet_check(g, a):
+                dual = dual_facet(g, a)
+                tag = dual.plane.tag
+                if isinstance(tag, CoordinateTag):
+                    assert dual == coordinate_halfspace(g, tag.vertex)
+                else:
+                    assert dual == neighbor_halfspace(g, tag.vertices)
 
 
 def test_dual_facet_rejects_non_facet():

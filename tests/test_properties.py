@@ -20,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
                       canonical_representation, edge_vectors, facets,
-                      fm_membership, has_perfect_matching, integer_decompose,
-                      is_independent, membership, neighbor_set)
+                      fm_membership, full_representation, has_perfect_matching,
+                      independent_set_halfspace, independent_sets,
+                      integer_decompose, is_independent, membership,
+                      neighbor_set)
 from battery import (build, check_witness, combinatorial_facet_sets, on_edges,
                      reference_canonical, reference_facets,
                      reference_hall_violator, scan_membership)
@@ -180,3 +182,10 @@ def test_closed_sets_match_the_all_sets_route(g):
         if fs:  # a single edge has no facet but one halfspace
             assert {f.generators_on for f in fs} == \
                 {on_edges(g, h) for h in rep.halfspaces}
+
+
+@PROPERTY
+@given(unions())
+def test_full_representation_sets_equal_independent_set_halfspaces(g):
+    assert list(full_representation(g).halfspaces[g.vertex_count:]) == [
+        independent_set_halfspace(g, a) for a in sorted(independent_sets(g))]

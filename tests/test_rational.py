@@ -87,6 +87,32 @@ def test_primitive_equals_the_cleared_route(kind):
     check()
 
 
+def test_is_primitive_for_each_input_class():
+    # integers: a gcd of 1 accepts; a larger gcd, all zeros or no entry
+    # at all rejects
+    for v in ((1,), (-1,), (1, 0, -1), (0, 3, -2), (6, 10, 15), (-1, -1)):
+        assert is_primitive(v) is True
+    for v in ((2,), (0, 2, -4), (0,), (0, 0, 0), ()):
+        assert is_primitive(v) is False
+    # a bool beside a nonzero entry is not an exact int
+    for v in ((True, 0), (1, False), (True, -1, 0)):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            is_primitive(v)
+    # Fractions keep their answer: equal to the primitive form or not
+    assert is_primitive((Fraction(1), Fraction(-2), 0)) is True
+    assert is_primitive((Fraction(2), Fraction(4))) is False
+    assert is_primitive((Fraction(1, 2), 0)) is False
+    assert is_primitive((Fraction(0), 0)) is False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)),
+                max_size=8))
+def test_is_primitive_int_fast_path_equals_the_primitive_route(v):
+    assert is_primitive(v) == bool(any(v) and tuple(v) == primitive(v))
+    assert is_primitive(tuple(v)) == is_primitive(v)
+
+
 def test_rref_and_nullspace():
     rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
     assert fraction_rref(rows) == ([[1, 0, 1], [0, 1, 1]], [0, 1])
