@@ -40,8 +40,8 @@ from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
                    IndependentSetTag, Tag, _set_halfspace, affine_hull,
                    cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, adjacency_masks,
-                    check_gate, is_independent, neighbor_set, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _members, _union,
+                    check_gate, vertex_set)
 
 
 @dataclass(frozen=True)
@@ -50,29 +50,6 @@ class Facet:
 
     halfspace: Halfspace
     generators_on: tuple[int, ...]
-
-
-def _plane_of(h: Hyperplane | Halfspace) -> Hyperplane:
-    return h.plane if isinstance(h, Halfspace) else h
-
-
-def _side_split(g: Graph, normal: Sequence[int]):
-    """Classify edge vectors against a hyperplane: indices on it, and
-    whether any lie strictly on each open side.  Edge ``(i, j)`` is the
-    sum of two unit vectors, so its value is ``normal[i] + normal[j]``."""
-    if len(normal) != g.vertex_count:
-        raise ValueError(f"dimension mismatch: {len(normal)} vs {g.vertex_count}")
-    on = []
-    has_pos = has_neg = False
-    for idx, (i, j) in enumerate(g.edges):
-        value = normal[i] + normal[j]
-        if value == 0:
-            on.append(idx)
-        elif value > 0:
-            has_pos = True
-        else:
-            has_neg = True
-    return tuple(on), has_pos, has_neg
 
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
@@ -106,20 +83,20 @@ def _edge_rank(g: Graph, on: Sequence[int]) -> int:
     return rank
 
 
-def _on_indices(g: Graph, h: Hyperplane | Halfspace) -> tuple[int, ...]:
-    plane = _plane_of(h)
-    on, has_pos, has_neg = _side_split(g, plane.normal)
-    if has_pos and has_neg:
-        raise NotSupportingHyperplaneError(
-            f"hyperplane {plane.normal} has edge vectors strictly on both "
-            f"sides and does not support the edge cone")
-    return on
-
-
 def face_dimension(g: Graph, h: Hyperplane | Halfspace) -> int:
     """Dimension of the face cut by a supporting hyperplane: the rank of
-    the edge vectors lying on it (the apex face has dimension 0)."""
-    return _edge_rank(g, _on_indices(g, h))
+    the edge vectors lying on it (the apex face has dimension 0).  Edge
+    ``(i, j)`` is the sum of two unit vectors, so its value on the
+    normal is ``normal[i] + normal[j]``."""
+    normal = (h.plane if isinstance(h, Halfspace) else h).normal
+    if len(normal) != g.vertex_count:
+        raise ValueError(f"dimension mismatch: {len(normal)} vs {g.vertex_count}")
+    values = [normal[i] + normal[j] for i, j in g.edges]
+    if any(v > 0 for v in values) and any(v < 0 for v in values):
+        raise NotSupportingHyperplaneError(
+            f"hyperplane {normal} has edge vectors strictly on both "
+            f"sides and does not support the edge cone")
+    return _edge_rank(g, [idx for idx, v in enumerate(values) if v == 0])
 
 
 def is_facet(g: Graph, h: Hyperplane | Halfspace) -> bool:
@@ -130,16 +107,6 @@ def is_facet(g: Graph, h: Hyperplane | Halfspace) -> bool:
     if dim <= 1:
         return False
     return face_dimension(g, h) == dim - 1
-
-
-def _members(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _closed_sets(masks: Sequence[int], universe: int) -> Iterator[tuple[int, int]]:
@@ -181,17 +148,6 @@ def _closed_sets(masks: Sequence[int], universe: int) -> Iterator[tuple[int, int
                     closure |= bit
             else:
                 stack.append((closure, nc, j + 1))
-
-
-def _union(table: Sequence[int], mask: int) -> int:
-    """The union of the bitmasks ``table[v]`` over the set bits ``v`` of
-    ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= table[low.bit_length() - 1]
-    return out
 
 
 def _reach(masks: Sequence[int], seed: int, within: int) -> int:
@@ -314,7 +270,7 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     if dim <= 1:
         return ()
     check_gate(g, max_vertices)
-    masks = adjacency_masks(g)
+    masks = g.masks
     incident = [0] * g.vertex_count  # edges at each vertex
     for idx, (i, j) in enumerate(g.edges):
         incident[i] |= 1 << idx
@@ -363,6 +319,27 @@ def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
     return g.bipartitions[0]
 
 
+def _bond_rest(g: Graph, a: Iterable[int]) -> tuple[VertexSet, int]:
+    """The checked members of ``a``, an independent set strictly inside
+    side 1 of a connected bipartite graph, and the bitmask of the rest
+    ``T = V - A - N(A)`` if ``(A + N(A), T)`` is a directed bond, else 0
+    (``T`` holds a side-1 vertex, so it is never empty)."""
+    side1 = _sides(g)[0]
+    members = vertex_set(g, a)
+    if not members:
+        raise ValueError("independent set must be nonempty")
+    inner = sum(1 << v for v in members)
+    near = _union(g.masks, inner)
+    if near & inner:
+        raise ValueError(f"vertex set {members} is not independent")
+    if not set(members) < set(side1):
+        raise ValueError(
+            f"vertex set {members} is not strictly inside side 1 {side1}")
+    rest = ((1 << g.vertex_count) - 1) & ~(inner | near)
+    cut = _connected(g.masks, inner | near) and _connected(g.masks, rest)
+    return members, rest if cut else 0
+
+
 def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
     """Combinatorial facet test for an independent set strictly inside
     side 1 of a connected bipartite graph.
@@ -371,19 +348,7 @@ def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
     neighbors and the one induced on the remaining vertices are both
     connected (their union always spans the graph).
     """
-    side1, side2 = _sides(g)
-    members = vertex_set(g, a)
-    if not members:
-        raise ValueError("independent set must be nonempty")
-    if not is_independent(g, members):
-        raise ValueError(f"vertex set {members} is not independent")
-    if not set(members) < set(side1):
-        raise ValueError(
-            f"vertex set {members} is not strictly inside side 1 {side1}")
-    masks = adjacency_masks(g)
-    closed = sum(1 << v for v in members + neighbor_set(g, members))
-    rest = ((1 << g.vertex_count) - 1) & ~closed
-    return _connected(masks, closed) and _connected(masks, rest)
+    return bool(_bond_rest(g, a)[1])
 
 
 def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
@@ -394,13 +359,10 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     ``(S, T)`` (see ``_directed_bonds``), and the facet is tagged by the
     other half: ``x_v`` if ``T = {v}``, else ``T & side2``.
     """
-    side1 = _sides(g)[0]
-    members = vertex_set(g, a)
-    if not bipartite_facet_check(g, members):
+    members, rest = _bond_rest(g, a)
+    if not rest:
         raise ValueError(f"vertex set {members} does not cut a facet")
-    closed = sum(1 << v for v in members + neighbor_set(g, members))
-    rest = ((1 << g.vertex_count) - 1) & ~closed
-    return _halfspace(g, _bond_tag(rest, ~sum(1 << v for v in side1)))
+    return _halfspace(g, _bond_tag(rest, sum(1 << v for v in g.bipartitions[0][1])))
 
 
 def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
@@ -489,7 +451,7 @@ def canonical_representation(g: Graph,
         check_gate(g, max_vertices)
     side1_mask = sum(1 << v for v in side1)
     tags = sorted((_bond_tag(s, side1_mask)
-                   for s in _directed_bonds(adjacency_masks(g), side1_mask)),
+                   for s in _directed_bonds(g.masks, side1_mask)),
                   key=_tag_sort_key)
     return ConeRepresentation(affine_hull(g), tuple(_halfspace(g, t) for t in tags),
                               "canonical_bipartite")

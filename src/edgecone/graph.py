@@ -3,15 +3,16 @@
 Vertices are identified by their position in ``Graph.vertices`` (the
 first-appearance order of the input document); every vector in the rest
 of the package is indexed the same way.  Graphs are immutable and all
-derived structure (components, bipartitions, adjacency) is computed
-eagerly, so instances are safe to share between threads.
+derived structure (neighbor tuples, adjacency bitmasks, components and
+bipartitions) is computed eagerly, so instances are safe to share
+between threads.  A vertex set is handled as a bitmask over vertex
+indices wherever it is searched or combined.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, EnumerationGateError
 
@@ -27,7 +28,9 @@ VertexSet = tuple[int, ...]
 class Graph:
     """Immutable simple graph: string labels, loop-free deduplicated edges.
 
-    ``edges`` holds index pairs ``(i, j)`` with ``i < j``.  ``components``
+    ``edges`` holds index pairs ``(i, j)`` with ``i < j``.  ``neighbors[v]``
+    lists the neighbors of ``v`` in increasing order, and ``masks[v]``
+    holds them as a bitmask over vertex indices.  ``components``
     partitions the vertex indices; ``bipartitions[k]`` is ``(side1, side2)``
     for a bipartite component (``side1`` contains the component's smallest
     index) and ``None`` for a non-bipartite one.  An isolated vertex is a
@@ -37,6 +40,7 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     components: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
     bipartitions: tuple[tuple[VertexSet, VertexSet] | None, ...] = field(
         init=False, repr=False, compare=False)
@@ -45,8 +49,8 @@ class Graph:
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex labels")
-        seen = set()
-        adjacency: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
+        adjacency: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
@@ -54,45 +58,43 @@ class Graph:
                 raise ValueError(f"loop at vertex {i}")
             if i > j:
                 raise ValueError(f"edge ({i}, {j}) not normalized as i < j")
-            if (i, j) in seen:
+            bit = 1 << j
+            if masks[i] & bit:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        object.__setattr__(self, "neighbors",
-                           tuple(tuple(sorted(a)) for a in adjacency))
-        components, bipartitions = self._split_components()
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "bipartitions", bipartitions)
-
-    def _split_components(self):
-        n = len(self.vertices)
-        unseen = set(range(n))
+            masks[i] |= bit
+            masks[j] |= 1 << i
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        # Breadth-first layers from the lowest unseen vertex alternate
+        # sides, and an edge inside a layer closes an odd cycle.
         components = []
         bipartitions = []
+        unseen = (1 << n) - 1
         while unseen:
-            start = min(unseen)
-            color = {start: 0}
-            queue = deque([start])
-            bipartite = True
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        bipartite = False
-            members = tuple(sorted(color))
-            unseen.difference_update(members)
-            components.append(members)
-            if bipartite:
-                side1 = tuple(v for v in members if color[v] == 0)
-                side2 = tuple(v for v in members if color[v] == 1)
-                bipartitions.append((side1, side2))
-            else:
-                bipartitions.append(None)
-        return tuple(components), tuple(bipartitions)
+            layer = reached = unseen & -unseen
+            sides = ([], [])
+            side = 0
+            odd = False
+            while layer:
+                near = 0
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    sides[side].append(v)
+                    near |= masks[v]
+                odd = odd or bool(near & layer)
+                layer = near & ~reached
+                reached |= layer
+                side ^= 1
+            unseen &= ~reached
+            components.append(tuple(sorted(sides[0] + sides[1])))
+            bipartitions.append(None if odd else tuple(tuple(sorted(part)) for part in sides))
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in adjacency))
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "bipartitions", tuple(bipartitions))
 
     @property
     def vertex_count(self) -> int:
@@ -155,8 +157,13 @@ def parse_graph(text: str) -> Graph:
 
 def vertex_set(g: Graph, indices: Iterable[int]) -> VertexSet:
     """Normalize a collection of vertex indices: sorted, deduplicated,
-    range-checked against ``g``."""
-    s = sorted(set(indices))
+    range-checked against ``g``.  Every index must be an ``int``; bools
+    are rejected, not read as 0 and 1."""
+    given = list(indices)
+    for v in given:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"vertex index must be an int, got {v!r}")
+    s = sorted(set(given))
     if s and not (0 <= s[0] and s[-1] < g.vertex_count):
         raise ValueError(
             f"vertex index out of range 0..{g.vertex_count - 1}: {s}")
@@ -174,8 +181,8 @@ def neighbor_set(g: Graph, a: Iterable[int]) -> VertexSet:
 
 def is_independent(g: Graph, a: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``a``."""
-    members = set(vertex_set(g, a))
-    return all(not (members & set(g.neighbors[v])) for v in members)
+    inner = sum(1 << v for v in vertex_set(g, a))
+    return not _union(g.masks, inner) & inner
 
 
 def check_gate(g: Graph, max_vertices: int) -> None:
@@ -189,13 +196,25 @@ def check_gate(g: Graph, max_vertices: int) -> None:
             f"with max_vertices= (--max-n on the command line)")
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """Each vertex's neighbor set as a bitmask over vertex indices."""
-    masks = [0] * g.vertex_count
-    for i, j in g.edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _union(table: Sequence[int], mask: int) -> int:
+    """The union of the bitmasks ``table[v]`` over the set bits ``v`` of
+    ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= table[low.bit_length() - 1]
+    return out
 
 
 def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iterator[VertexSet]:
@@ -218,7 +237,7 @@ def _independent_set_normals(g: Graph, max_vertices: int
     neighbors and 0 elsewhere."""
     check_gate(g, max_vertices)
     n = g.vertex_count
-    masks = adjacency_masks(g)
+    masks = g.masks
     # Each set carries its normal, the bitmask ``near`` of its members
     # and their neighbors, and the bitmask of vertices that may still
     # join it: above its last member and outside ``near``, which is the

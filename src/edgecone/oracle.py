@@ -188,10 +188,12 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
             continue
         if not any(row[:len(free)]):
             outputs.add(row[len(free):])
-        elif row not in rows or len(rows[row]) > 1:
+        elif row not in rows:
             rows[row] = ancestors
 
-    for eliminated, col in enumerate(range(len(free))):
+    # A kept row is zero in every eliminated column and nonzero in a
+    # later one, so no row is left after the last column.
+    for col in range(len(free)):
         positive, negative, kept = [], [], {}
         for row, ancestors in rows.items():
             if row[col] > 0:
@@ -204,13 +206,13 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
         for (prow, panc), (nrow, nanc) in itertools.product(positive, negative):
             ancestors = panc | nanc
             # Imbert's bound: wider ancestries are provably redundant.
-            if len(ancestors) > eliminated + 2:
+            if len(ancestors) > col + 2:
                 continue
             built += 1
             if built > _ROW_LIMIT:
                 raise EnumerationGateError(
                     f"Fourier-Motzkin blowup: {built} rows built while "
-                    f"eliminating multiplier {eliminated + 1} of {len(free)}")
+                    f"eliminating multiplier {col + 1} of {len(free)}")
             combo = [prow[col] * b - nrow[col] * a for a, b in zip(prow, nrow)]
             if not any(combo):
                 continue
@@ -220,8 +222,6 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
             elif row not in kept or len(kept[row]) > len(ancestors):
                 kept[row] = ancestors
         rows = kept
-    for row in rows:
-        outputs.add(row[len(free):])
     return tuple(sorted(outputs))
 
 

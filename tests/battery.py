@@ -164,6 +164,44 @@ def bipartite_battery() -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def colour_search_structure(g: Graph) -> tuple:
+    """``(neighbors, components, bipartitions)`` of ``g`` from its edge
+    list alone: neighbor sets, then a breadth-first search from the
+    smallest unseen vertex that colours each vertex opposite to its
+    parent and marks the component non-bipartite at an edge between
+    equal colours.  Kept only to compare the library's bitmask layers
+    against."""
+    n = g.vertex_count
+    adjacency = [set() for _ in range(n)]
+    for i, j in g.edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    neighbors = tuple(tuple(sorted(a)) for a in adjacency)
+    unseen = set(range(n))
+    components = []
+    bipartitions = []
+    while unseen:
+        start = min(unseen)
+        color = {start: 0}
+        queue = deque([start])
+        bipartite = True
+        while queue:
+            v = queue.popleft()
+            for w in neighbors[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+        members = tuple(sorted(color))
+        unseen.difference_update(members)
+        components.append(members)
+        bipartitions.append(
+            (tuple(v for v in members if color[v] == 0),
+             tuple(v for v in members if color[v] == 1)) if bipartite else None)
+    return neighbors, tuple(components), tuple(bipartitions)
+
+
 def relaxed_witness(g: Graph, rep, dropped):
     """A point satisfying the affine hull and every halfspace of ``rep``
     except ``dropped``, while violating ``dropped``: start from the sum

@@ -43,6 +43,19 @@ def test_matching_star(graph_file, capsys):
     assert set(violator) <= {"a", "b", "c"} and len(violator) >= 2
 
 
+def test_matching_found(graph_file, capsys):
+    # a 6-cycle with a chord, plus a separate edge: 8 vertices, matchable
+    text = "a b\nb c\nc d\nd e\ne f\nf a\na d\ng h\n"
+    code, out, _ = run(capsys, "matching", graph_file(text))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["has_perfect_matching"] is True and doc["violator"] is None
+    edges = {frozenset(e) for e in doc["edges"]}
+    matched = [v for pair in doc["matching"] for v in pair]
+    assert all(frozenset(pair) in edges for pair in doc["matching"])
+    assert sorted(matched) == sorted(doc["vertices"])  # each vertex once
+
+
 def test_matching_above_the_enumeration_gate(graph_file, capsys):
     # a 28-vertex path plus two leaves sharing its last vertex: 30 vertices
     lines = [f"v{i} v{i + 1}" for i in range(27)] + ["v27 x", "v27 y"]

@@ -10,7 +10,8 @@ from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       fm_membership, full_representation,
                       independent_set_halfspace, independent_sets, is_independent,
                       membership, neighbor_set, parse_graph, rational_rank)
-from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
+from edgecone.cone import (SENSE_GE, SENSE_LE, Halfspace, Hyperplane,
+                           component_equation)
 from battery import (all_graphs, bipartite_battery, build, complete_bipartite,
                      connected_graphs_upto, cycle, neighbor_halfspace, path,
                      random_connected, spider, star, standard_battery)
@@ -40,8 +41,25 @@ def test_halfspace_sense_tag_invariants():
     plane = Hyperplane((1, 0), CoordinateTag(0))
     with pytest.raises(ValueError):
         Halfspace(plane, SENSE_LE)
+    with pytest.raises(ValueError, match="bad sense"):
+        Halfspace(Hyperplane((1, 0)), ">0")
+    with pytest.raises(ValueError, match="independent-set halfspaces carry sense <=0"):
+        Halfspace(Hyperplane((1, -1), IndependentSetTag((0,))), SENSE_GE)
     assert coordinate_halfspace(SINGLE, 0).sense == SENSE_GE
     assert independent_set_halfspace(SINGLE, [0]).sense == SENSE_LE
+
+
+def test_coordinate_halfspace_rejects_out_of_range_vertices():
+    for vertex in (-1, 2):
+        with pytest.raises(ValueError, match=f"vertex index out of range: {vertex}"):
+            coordinate_halfspace(SINGLE, vertex)
+
+
+def test_component_equation_requires_a_bipartite_component():
+    g = parse_graph("a b\nb c\nc a\nx y")
+    with pytest.raises(ValueError, match="component 0 is not bipartite"):
+        component_equation(g, 0)
+    assert component_equation(g, 1) == Hyperplane((0, 0, 0, 1, -1), ComponentTag(1))
 
 
 def test_independent_set_halfspace_normal():

@@ -43,8 +43,19 @@ def test_is_facet_triangle_singleton():
     assert not is_facet(TRIANGLE, coordinate_halfspace(TRIANGLE, 0))
 
 
+def test_cones_of_dimension_at_most_one_have_no_facet():
+    single = parse_graph("a b")
+    assert cone_dimension(single) == 1
+    for h in full_representation(single).halfspaces:
+        assert not is_facet(single, h)
+    isolated = parse_graph("a")
+    assert cone_dimension(isolated) == 0
+    assert not is_facet(isolated, coordinate_halfspace(isolated, 0))
+
+
 def test_is_facet_distinguishes_non_supporting():
-    with pytest.raises(NotSupportingHyperplaneError):
+    with pytest.raises(NotSupportingHyperplaneError,
+                       match=r"hyperplane \(1, -1, 0\) has edge vectors strictly on both sides"):
         is_facet(TRIANGLE, Hyperplane((1, -1, 0)))
 
 
@@ -120,9 +131,9 @@ def test_edge_rank_equals_elimination_on_random_edge_sets():
 
 
 def test_face_dimension_rejects_wrong_length_normals():
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         face_dimension(TRIANGLE, Hyperplane((1, -1)))
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="dimension mismatch: 4 vs 3"):
         face_dimension(TRIANGLE, Hyperplane((1, -1, 0, 0)))
 
 

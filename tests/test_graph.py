@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from edgecone import (EdgeListParseError, EnumerationGateError, Graph,
-                      bipartite_component_count, edge_vectors,
+                      bipartite_component_count, bipartite_facet_check,
+                      dual_facet, edge_vectors, independent_set_halfspace,
                       independent_sets, is_independent, neighbor_set,
-                      parse_graph)
-from battery import (build, complete, path, random_connected, standard_battery,
+                      parse_graph, vertex_set)
+from battery import (all_graphs, bipartite_battery, build, colour_search_structure,
+                     complete, cycle, path, random_connected, standard_battery,
                      star)
 
 import random
@@ -66,6 +68,63 @@ def test_graph_rejects_unnormalized_and_out_of_range():
         Graph(("a", "b"), ((0, 5),))
     with pytest.raises(ValueError):
         Graph(("a", "a"), ())
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 0),), "loop at vertex 0"),
+    (((0, 1), (0, 1)), r"duplicate edge \(0, 1\)"),
+    # each edge is checked in full before the next: range, loop,
+    # normalization, duplicate
+    (((3, 3),), r"edge \(3, 3\) out of range"),
+    (((1, 1), (0, 2)), "loop at vertex 1"),
+    (((0, 1), (0, 1), (1, 1)), r"duplicate edge \(0, 1\)"),
+    (((0, 1), (1, 1), (0, 1)), "loop at vertex 1"),
+    (((0, 1), (1, 0)), r"edge \(1, 0\) not normalized"),
+    (((1, 0), (1, 0)), r"edge \(1, 0\) not normalized"),
+    (((0, 1), (0, 2), (1, 2), (0, 2)), r"duplicate edge \(0, 2\)"),
+])
+def test_graph_rejects_loops_and_duplicates_in_edge_order(edges, message):
+    # parse_graph rejects these first, so only direct construction
+    # reaches the checks in Graph
+    with pytest.raises(ValueError, match=message):
+        Graph(("a", "b", "c"), edges)
+
+
+def test_structure_equals_the_colour_search():
+    graphs = itertools.chain(
+        (g for n in range(7) for g in all_graphs(n)), standard_battery(),
+        bipartite_battery(),
+        (path(801), cycle(800), random_connected(2000, random.Random(1), 0.002)))
+    for g in graphs:
+        assert (g.neighbors, g.components, g.bipartitions) \
+            == colour_search_structure(g), g.edges
+        assert g.masks == tuple(sum(1 << w for w in a) for a in g.neighbors)
+
+
+def test_many_small_components():
+    matching = build(10_000, [(2 * k, 2 * k + 1) for k in range(5_000)])
+    assert matching.components == tuple((2 * k, 2 * k + 1) for k in range(5_000))
+    assert matching.bipartitions == tuple(((2 * k,), (2 * k + 1,)) for k in range(5_000))
+    isolated = build(10_000, [])
+    assert isolated.components == tuple((v,) for v in range(10_000))
+    assert isolated.bipartitions == tuple(((v,), ()) for v in range(10_000))
+    assert not any(isolated.masks)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_vertex_indices_must_be_ints(bad):
+    g = star(3)
+    calls = (lambda a: vertex_set(g, a),
+             lambda a: independent_set_halfspace(g, a),
+             lambda a: neighbor_set(g, a),
+             lambda a: is_independent(g, a),
+             lambda a: bipartite_facet_check(g, a),
+             lambda a: dual_facet(g, a))
+    for call in calls:
+        for a in ([bad], [0, bad], [1, bad]):  # [1, True] is not {1}
+            with pytest.raises(ValueError, match="vertex index must be an int"):
+                call(a)
+    assert vertex_set(g, iter([2, 0, 2])) == (0, 2)
 
 
 def test_bipartition_side1_contains_smallest_index():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from edgecone import (EnumerationGateError, brute_force_facet_generator_sets,
                       brute_force_facets, cross_validate, edge_vectors,
                       facets, fm_membership, membership, parse_graph)
-from battery import build, complete, complete_bipartite, cycle, random_connected, star
+from battery import (build, complete, complete_bipartite, connected_graphs_upto, cycle,
+                     random_connected, standard_battery, star)
 from edgecone import oracle
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
@@ -92,6 +94,35 @@ def test_fm_membership_examples():
 def test_fm_membership_dimension_check():
     with pytest.raises(ValueError):
         fm_membership(edge_vectors(TRIANGLE), (1, 1))
+
+
+def test_oracle_rejects_generators_of_mixed_dimension():
+    mixed = [(1, 1, 0), (1, 1)]
+    for call in (brute_force_facets, brute_force_facet_generator_sets,
+                 lambda gens: fm_membership(gens, (1, 1, 0))):
+        with pytest.raises(ValueError, match="generators of mixed dimension"):
+            call(mixed)
+
+
+def test_oracle_outputs_are_pinned():
+    """sha256 over ``repr`` of the Fourier-Motzkin rows and the facet data
+    of the standard battery, and of the ``cross_validate`` reports of
+    the connected graphs on at most 4 vertices.  The digests were taken
+    before the projection dropped its dead branches: any change to the
+    rows, their order or the reports shows here."""
+    rows, data, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for g in standard_battery():
+        gens = edge_vectors(g)
+        rows.update(repr(oracle._projection_rows(gens, g.vertex_count)).encode())
+        data.update(repr(oracle._facet_data(gens)).encode())
+    for g in connected_graphs_upto(4):
+        reports.update(repr(cross_validate(g)).encode())
+    assert rows.hexdigest() == \
+        "8783e8d01a12ad57c778a7de5170b66c66029c8a67bf1729340b7dd66ea93cf9"
+    assert data.hexdigest() == \
+        "dd5b143f0434ceb19cc5b7d8fcb0d24fe758742b869f5273e445047a8666799b"
+    assert reports.hexdigest() == \
+        "f86ce54a7fea9b6bd26ab8bcc0a042fda01d2d79407b09da82cd034becbdfaa1"
 
 
 def test_oracle_reads_fraction_generators_exactly():

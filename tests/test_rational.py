@@ -10,6 +10,13 @@ from edgecone.rational import (clear_denominators, dot, integer_kernel,
 from battery import fraction_rref
 
 
+def test_dot():
+    assert dot((1, 2, -3), (4, Fraction(1, 2), 1)) == 2
+    assert dot((), ()) == 0
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+        dot((1, 2), (1,))
+
+
 def test_rank_triangle_incidence_columns():
     assert rational_rank([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
 
