@@ -105,7 +105,7 @@ def coordinate_halfspace(g: Graph, vertex: int) -> Halfspace:
     n = g.vertex_count
     if not 0 <= vertex < n:
         raise ValueError(f"vertex index out of range: {vertex}")
-    normal = tuple(1 if k == vertex else 0 for k in range(n))
+    normal = (0,) * vertex + (1,) + (0,) * (n - vertex - 1)
     return Halfspace(Hyperplane(normal, CoordinateTag(vertex)), SENSE_GE)
 
 

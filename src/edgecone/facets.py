@@ -3,9 +3,9 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs, and ``remove_redundant`` takes it, as does ``facets`` on all
-but connected bipartite graphs.  The rank is the edge-cone dimension of
-the subgraph those edges form, so no elimination runs here; only the
+graphs, and ``remove_redundant`` takes it, as does ``facets`` on
+non-bipartite components.  The rank is the edge-cone dimension of the
+subgraph those edges form, so no elimination runs here; only the
 oracle eliminates.  For a connected bipartite graph the facets are the
 directed bonds, and ``facets``, ``canonical_representation`` and
 ``dual_facet`` read their tags off the bonds with no rank; the cone has
@@ -17,9 +17,12 @@ Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
 same facet, so normals alone are not a usable identity.
 
-On a connected bipartite graph ``facets`` tags each directed bond with
-the smallest of the at most three tags that cut its facet, so its cost
-follows the number of facets.  On other graphs its candidates are the
+The cone of a disjoint union is the product of its components' cones,
+so ``facets`` searches one component at a time and adds the sides of
+other bipartite components to a set tag where that makes it smaller.
+On a bipartite component it tags each directed bond with the smallest
+of the at most three tags that cut its facet, so its cost follows the
+number of facets.  On a non-bipartite component its candidates are the
 coordinate hyperplanes and the closed independent sets, the independent
 extents of the formal concepts of the non-adjacency relation (Ganter
 and Wille 1999), which Close-by-One lists on vertex bitmasks; ``facets``
@@ -113,8 +116,9 @@ def _closed_sets(masks: Sequence[int], universe: int) -> Iterator[tuple[int, int
     """Close-by-One (Kuznetsov 1993) over the vertices of ``universe``:
     every nonempty independent set ``A`` inside ``universe`` that is
     closed, ``A = {u in universe : N(u) <= N(A)}``, exactly once, as the
-    bitmasks ``(A, N(A))``.  ``universe`` holds no isolated vertex, so
-    the empty set is closed.
+    bitmasks ``(A, N(A))``.  ``universe`` is a connected non-bipartite
+    component, which holds no isolated vertex, so the empty set is
+    closed.
 
     A closed ``A`` is extended by each ``j`` above its last extension and
     outside ``A``, and the closure of ``A + {j}`` is kept only if it adds
@@ -196,75 +200,82 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     lexicographically smallest set.  Output order: coordinate-tagged
     facets by index, then set-tagged facets lexicographically.
 
-    A connected bipartite graph has one facet per directed bond
-    ``(S, T)`` (see ``_directed_bonds``): the edges inside ``S`` and
-    inside ``T`` lie on it and the cut does not, each cut edge running
-    from side 2 in ``S`` to side 1 in ``T``.  Its tag is the smallest of
-    ``_bond_tag(S, side1)``, ``_bond_tag(T, side2)`` and the set
+    The cone of a disjoint union is the product of its components'
+    cones, so each facet is a facet ``F`` of one component ``C`` with
+    every edge of the other components on it, and each component is
+    searched on its own.  A candidate of ``G`` cuts that facet iff its
+    hyperplane holds exactly those edges.  A coordinate ``x_v`` does
+    iff ``v`` lies in ``C`` and ``x_v`` cuts ``F``.  An independent
+    ``A`` does iff ``A & C`` cuts ``F`` in ``C`` and, for each other
+    component ``D`` that ``A`` meets, every edge of ``D`` lies on the
+    hyperplane.  Off it lie the edges that touch ``N(A)`` and miss
+    ``A``, so that last condition leaves no vertex of ``D`` outside
+    ``A + N(A)`` (a path would reach it from ``A`` through ``N(A)``)
+    and no edge inside ``N(A) & D``: ``D`` is bipartite and ``A & D``
+    is one of its sides.  An isolated vertex is a side 1 of size one.
+
+    So a set tag is ``X`` plus a union of sides of other bipartite
+    components, for one of ``C``'s own cutting sets ``X``, and the
+    smallest one is found greedily.  Adding a block ``B`` to a disjoint
+    ``X`` makes the sorted tuple smaller exactly when ``min B < max
+    X``: the two agree below ``min B``, where ``X + B`` holds ``min B``
+    and ``X`` a larger member or nothing more.  Side 1 holds its
+    component's lowest vertex, so ``X`` plus side 1 is smaller than
+    ``X`` plus side 2 whenever side 2 is not empty, and side 2 is never
+    chosen.  Walking the other bipartite components by lowest vertex,
+    side 1 is added while that vertex lies below the running maximum,
+    for then it makes the tuple smaller whatever is added after it.  At
+    the first component whose lowest vertex lies above, so do those of
+    all later ones, and adding any of them would only lengthen the
+    tuple.
+
+    A connected bipartite component ``C`` has one facet per directed
+    bond ``(S, T)`` (see ``_directed_bonds``): the edges inside ``S``
+    and inside ``T`` lie on it and the cut does not, each cut edge
+    running from side 2 in ``S`` to side 1 in ``T``.  Its cutting sets
+    are ``_bond_tag(S, side1)``, ``_bond_tag(T, side2)`` and the set
     ``(S & side1) + (T & side2)``, and no rank is taken, for these are
-    the only tags whose hyperplane holds exactly those edges.  Off the
-    plane of ``x_v`` lie the edges at ``v``; they are the cut only if
-    ``v`` has no neighbor in its own half, which is connected and so is
-    ``{v}``.  Off the plane of an independent ``A`` lie the edges that
-    touch ``N(A)`` and miss ``A``.  If ``A`` meets ``S``, the edges
-    inside ``S`` are on the plane, so the neighbors in ``S`` of a member
-    lie in ``N(A)`` and theirs in ``A``: ``A`` holds a colour class of
-    the connected ``S``.  It is not ``S & side2``, or the cut edges
-    would touch ``A`` and lie on the plane.  Likewise ``A`` meets ``T``
-    in nothing or in ``T & side2``, and not in nothing both times.
-    Back, a side-1 vertex of ``S`` has no neighbor in ``T``, and in a
-    connected ``S`` of two or more vertices every side-2 vertex has one
-    on side 1, so ``N(S & side1) = S & side2``: the plane holds the
-    edges inside ``S`` and inside the rest, ``T``, and not the cut.
-    ``T & side2`` is the mirror image.  No edge joins the two, and their
-    union has the neighbors ``(S & side2) + (T & side1)``, which only
-    the cut edges join to each other.  So the minimum is the tag that
-    the closed-set route below picks for the same facet.
+    the only tags whose hyperplane holds exactly those edges of ``C``.
+    Off the plane of ``x_v`` lie the edges at ``v``; they are the cut
+    only if ``v`` has no neighbor in its own half, which is connected
+    and so is ``{v}``; a single edge has two such halves, and the lower
+    coordinate is kept.  Off the plane of an independent ``A`` lie the
+    edges that touch ``N(A)`` and miss ``A``.  If ``A`` meets ``S``,
+    the edges inside ``S`` are on the plane, so the neighbors in ``S``
+    of a member lie in ``N(A)`` and theirs in ``A``: ``A`` holds a
+    colour class of the connected ``S``.  It is not ``S & side2``, or
+    the cut edges would touch ``A`` and lie on the plane.  Likewise
+    ``A`` meets ``T`` in nothing or in ``T & side2``, and not in nothing
+    both times.  Back, a side-1 vertex of ``S`` has no neighbor in
+    ``T``, and in a connected ``S`` of two or more vertices every
+    side-2 vertex has one on side 1, so ``N(S & side1) = S & side2``:
+    the plane holds the edges inside ``S`` and inside the rest, ``T``,
+    and not the cut.  ``T & side2`` is the mirror image.  No edge joins
+    the two, and their union has the neighbors ``(S & side2) + (T &
+    side1)``, which only the cut edges join to each other.
 
-    Other graphs test the coordinates and the closed sets, and no other
-    set is needed.  The closed sets are the independent sets ``A`` such
-    that every non-isolated ``u`` with ``N(u) <= N(A)`` lies in ``A``.
-    Let ``R = V - A - N(A)``.  An edge lies on ``A``'s hyperplane iff it
-    joins ``A`` to ``N(A)`` or lies inside ``R``; call the graph of those
-    edges ``H``, on all of ``V``.  The face has rank ``n`` minus the
-    bipartite components of ``H`` and the cone has dimension ``n`` minus
-    those of the graph (isolated vertices count as components).  The
-    edges of ``H`` inside a component ``C`` of the graph have rank at
-    most that of ``C``'s edges, so ``C`` holds at least as many
-    bipartite components of ``H`` as of the graph (one or none), and
-    ``A`` cuts a facet iff exactly one ``C`` holds one more.  The
-    ``A``-``N(A)`` edges form bipartite components of ``H``, and a
-    component of the graph that misses ``A`` lies in ``R`` and holds
-    the same components in both.
-
-    Now let ``u`` outside ``A`` be non-isolated with ``N(u) <= N(A)``,
-    in the component ``C``.  Then ``u`` lies in ``R`` (a neighbor of
-    ``u`` in ``A`` would lie in ``N(A)``, next to a member of ``A``),
-    all its edges reach ``N(A)`` and are off the hyperplane, so ``u`` is
-    a component of ``H`` by itself, and its neighbors lie in a further
-    one, of ``A``-``N(A)`` edges inside ``C``.  That is at least one
-    more than ``C`` holds in the graph if ``C`` is bipartite and at
-    least two if not.  So ``A`` cuts a facet only if ``C`` is bipartite,
-    meets ``R`` in ``u`` alone (every piece of ``R`` in ``C`` is a
-    bipartite component of ``H``) and has connected ``A``-``N(A)``
-    edges, while every other component meeting ``A`` is bipartite, lies
-    inside ``A + N(A)`` and has connected ``A``-``N(A)`` edges.  For a connected graph that is
-    ``A + N(A) = V - {u}``, and it can happen in a disconnected one
-    too.  Then no edge joins two vertices of ``N(A)`` (they lie at even
-    distance in a connected bipartite piece, so the edge would close an
-    odd cycle), and ``u`` is the only vertex of ``R`` next to ``N(A)``,
-    so the edges off the hyperplane are exactly those of ``u``: the
-    coordinate ``x_u`` cuts the same facet and its tag takes precedence.
-
-    Isolated vertices touch no edge, so adding them to ``A`` or removing
-    them leaves the face as it is, and a set of isolated vertices alone
-    puts every edge on its hyperplane, which cuts the whole cone and no
-    facet.  The smallest tag among the sets cutting a facet that no
-    coordinate cuts is therefore a closed set of non-isolated vertices
-    plus each isolated vertex below its largest member: each such vertex
-    makes the tuple smaller, each one above makes it longer and so
-    larger.  Close-by-One lists the closed sets, so the cost follows
-    their number, not the number of independent sets.
+    A connected non-bipartite component ``C`` has a full-dimensional
+    cone, so a candidate cuts a facet iff the edges of ``C`` on its
+    hyperplane have rank ``|C| - 1``, and a facet has one normal up to
+    a positive scale.  The candidate normals have entries in ``{-1, 0,
+    1}``, a set's normal has a ``-1`` (every member has a neighbor) and
+    distinct sets differ where the normal is 1, so each facet has at
+    most one candidate, and no grouping is needed.  The candidates are
+    the coordinates of ``C`` and its closed sets, the independent ``A``
+    such that every ``u`` in ``C`` with ``N(u) <= N(A)`` lies in ``A``;
+    no other set cuts a facet, so each facet has exactly one.  Let ``R = C - A - N(A)``.  An
+    edge of ``C`` lies on ``A``'s hyperplane iff it joins ``A`` to
+    ``N(A)`` or lies inside ``R``; call the graph of those edges ``H``,
+    on ``C``.  The face has rank ``|C|`` minus the bipartite components
+    of ``H``, and the ``A``-``N(A)`` edges form bipartite components of
+    ``H``.  Now let ``u`` outside ``A`` have ``N(u) <= N(A)``.  Then
+    ``u`` lies in ``R`` (a neighbor of ``u`` in ``A`` would lie in
+    ``N(A)``, next to a member of ``A``), all its edges reach ``N(A)``
+    and are off the hyperplane, so ``u`` is a component of ``H`` by
+    itself, and its neighbors lie in a further one, of ``A``-``N(A)``
+    edges: the rank is at most ``|C| - 2``.  Close-by-One lists the
+    closed sets, so the cost follows their number, not the number of
+    independent sets.
     """
     dim = cone_dimension(g)
     if dim <= 1:
@@ -276,34 +287,47 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
         incident[i] |= 1 << idx
         incident[j] |= 1 << idx
     everything = (1 << len(g.edges)) - 1
-    if g.is_connected() and g.is_bipartite():
-        side1 = sum(1 << v for v in g.bipartitions[0][0])
-        chosen = []
-        for s in _directed_bonds(masks, side1):
-            t = ((1 << g.vertex_count) - 1) & ~s
-            if s & (s - 1) and t & (t - 1):
-                s1, t2 = s & side1, t & ~side1
-                tag = IndependentSetTag(min(tuple(_members(p)) for p in (s1, t2, s1 | t2)))
-            else:  # a single-vertex half is a coordinate, which sorts first
-                tag = CoordinateTag((s if s & (s - 1) == 0 else t).bit_length() - 1)
-            # on the bond's facet: every edge but the cut
-            chosen.append((tag, everything & ~(_union(incident, s) & _union(incident, t))))
-    else:
-        isolated = sum(1 << v for v, m in enumerate(masks) if not m)
-        coordinates = ((everything & ~incident[v], CoordinateTag(v))
-                       for v in range(g.vertex_count))
-        # on A's hyperplane: every edge but those that touch N(A) and miss A
-        sets = ((everything & ~(_union(incident, na) & ~_union(incident, a)),
-                 a | isolated & ((1 << (a.bit_length() - 1)) - 1))
-                for a, na in _closed_sets(masks, ((1 << g.vertex_count) - 1) & ~isolated))
-        groups: dict[int, list[Tag]] = {}
-        for on, tag in chain(coordinates, sets):
+    # side 1 of each component, by lowest vertex; 0, which adds nothing,
+    # if it is not bipartite
+    firsts = [sum(1 << v for v in sides[0]) if sides else 0 for sides in g.bipartitions]
+
+    def grown(x: int, own: int) -> tuple[int, ...]:
+        """``x`` plus the sides 1 of other components that make it smaller."""
+        for side in firsts:
+            if side & -side > x:
+                break  # its lowest vertex lies above the running maximum
+            if side != own:
+                x |= side
+        return tuple(_members(x))
+
+    chosen = []
+    for component, side1 in zip(g.components, firsts):
+        universe = sum(1 << v for v in component)
+        if side1:
+            for s in _directed_bonds(masks, side1, universe):
+                t = universe & ~s
+                singles = [p for p in (s, t) if p & (p - 1) == 0]
+                if singles:  # a coordinate, which sorts first
+                    tag = CoordinateTag(min(singles).bit_length() - 1)
+                else:
+                    s1, t2 = s & side1, t & ~side1
+                    tag = IndependentSetTag(min(grown(x, side1) for x in (s1, t2, s1 | t2)))
+                # off the bond's facet: the cut
+                chosen.append((tag, everything & ~(_union(incident, s) & _union(incident, t))))
+            continue
+        inside = _union(incident, universe)
+        coordinates = ((incident[v], CoordinateTag(v)) for v in component)
+        # off A's hyperplane: the edges that touch N(A) and miss A
+        sets = ((_union(incident, na) & ~_union(incident, a), a)
+                for a, na in _closed_sets(masks, universe))
+        for off, tag in chain(coordinates, sets):
+            on = inside & ~off
             # the rank never exceeds the edge count
-            if on.bit_count() >= dim - 1 and _edge_rank(g, _members(on)) == dim - 1:
+            if on.bit_count() >= len(component) - 1 and \
+                    _edge_rank(g, _members(on)) == len(component) - 1:
                 if isinstance(tag, int):
-                    tag = IndependentSetTag(tuple(_members(tag)))
-                groups.setdefault(on, []).append(tag)
-        chosen = [(min(tags, key=_tag_sort_key), on) for on, tags in groups.items()]
+                    tag = IndependentSetTag(grown(tag, 0))
+                chosen.append((tag, everything & ~off))
     chosen.sort(key=lambda pair: _tag_sort_key(pair[0]))
     return tuple(Facet(_halfspace(g, tag), tuple(_members(on))) for tag, on in chosen)
 
@@ -365,9 +389,10 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     return _halfspace(g, _bond_tag(rest, sum(1 << v for v in g.bipartitions[0][1])))
 
 
-def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
-    """The directed bonds of a connected bipartite graph with an edge, as
-    bitmasks of ``S``: the splits ``(S, T)`` of ``V`` into two connected
+def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator[int]:
+    """The directed bonds of the connected bipartite component whose
+    vertex bitmask is ``universe``, as bitmasks of ``S``: the splits
+    ``(S, T)`` of ``V = universe`` into two connected
     induced subgraphs where every edge between them has its side-1 end
     in ``T``, the minimal directed cuts of the orientation from side 2 to
     side 1 (Lucchesi and Younger 1978).
@@ -393,9 +418,10 @@ def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
     such ``v``, every component of ``G - I`` meets ``O``, so ``S = I``.
     The root ``r = min S`` starts from ``{r}`` closed, with the vertices
     below ``r`` in ``O``.  The depth is at most ``n`` and a node costs at
-    most two bitmask searches, so the delay is ``O(n (n + m))``.
+    most two bitmask searches, so the delay is ``O(n (n + m))``.  Roots
+    and ``O`` stay inside ``universe``, and an isolated vertex has no
+    bond.
     """
-    everything = (1 << len(masks)) - 1
 
     def grow(inner: int, near: int, bit: int) -> tuple[int, int]:
         """``I + v`` closed, with its closed neighborhood ``near``."""
@@ -406,13 +432,13 @@ def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
 
     def live(inner: int, near: int, outer: int):
         """The node with ``C`` (0 while ``O`` is empty), or None if dead."""
-        rest = everything & ~inner
+        rest = universe & ~inner
         if inner & outer or not rest:
             return None
         component = _reach(masks, outer & -outer, rest)
         return None if outer & ~component else (inner, near, outer, component)
 
-    roots = (live(*grow(0, 0, 1 << r), (1 << r) - 1) for r in range(len(masks)))
+    roots = (live(*grow(0, 0, 1 << r), universe & ((1 << r) - 1)) for r in _members(universe))
     stack = [node for node in roots if node]
     while stack:
         inner, near, outer, component = stack.pop()
@@ -422,7 +448,7 @@ def _directed_bonds(masks: Sequence[int], side1: int) -> Iterator[int]:
             continue
         bit = frontier & -frontier
         if not outer:
-            component = _reach(masks, bit, everything & ~inner)
+            component = _reach(masks, bit, universe & ~inner)
         if bit & component:  # O + v stays in C
             stack.append((inner, near, outer | bit, component))
         node = live(*grow(inner, near, bit), outer)
@@ -451,7 +477,7 @@ def canonical_representation(g: Graph,
         check_gate(g, max_vertices)
     side1_mask = sum(1 << v for v in side1)
     tags = sorted((_bond_tag(s, side1_mask)
-                   for s in _directed_bonds(g.masks, side1_mask)),
+                   for s in _directed_bonds(g.masks, side1_mask, (1 << g.vertex_count) - 1)),
                   key=_tag_sort_key)
     return ConeRepresentation(affine_hull(g), tuple(_halfspace(g, t) for t in tags),
                               "canonical_bipartite")

@@ -52,6 +52,8 @@ class Graph:
         masks = [0] * n
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
+            if type(i) is not int or type(j) is not int:
+                vertex_set(self, (i, j))  # its check rejects bools and non-ints
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if i == j:

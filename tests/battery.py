@@ -46,6 +46,18 @@ def spider(legs: int) -> Graph:
                  + [(i, legs + i) for i in range(1, legs + 1)])
 
 
+def disjoint_union(parts, label=None) -> Graph:
+    """The graphs ``parts`` side by side, in order, vertex ``k`` then
+    relabeled ``label[k]`` if a permutation ``label`` is given."""
+    n = sum(g.vertex_count for g in parts)
+    label = label or range(n)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(label[offset + i], label[offset + j]) for i, j in g.edges]
+        offset += g.vertex_count
+    return build(n, edges)
+
+
 def complete(n: int) -> Graph:
     return build(n, itertools.combinations(range(n), 2))
 

@@ -18,8 +18,9 @@ from edgecone.facets import _edge_rank
 from edgecone.rational import dot
 from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      combinatorial_facet_sets, complete_bipartite,
-                     connected_graphs_upto, cycle, neighbor_halfspace, on_edges,
-                     path, random_connected_bipartite, reference_canonical,
+                     connected_graphs_upto, cycle, disjoint_union,
+                     neighbor_halfspace, on_edges, path,
+                     random_connected_bipartite, reference_canonical,
                      reference_facets, spider, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
@@ -315,10 +316,12 @@ def test_facets_and_canonical_refuse_graphs_above_the_gate():
 
 def test_closed_sets_match_the_all_sets_route_exhaustively():
     # every labeled graph on at most 5 vertices (isolated vertices and
-    # disconnected graphs included), every connected bipartite one on 6
+    # disconnected graphs included), every connected bipartite one on 6,
+    # every 6-vertex one with two or more components that hold an edge
     # and a seeded sample of other 6-vertex ones
     graphs = [g for n in range(6) for g in all_graphs(n)]
-    graphs += [g for g in all_graphs(6) if g.is_connected() and g.is_bipartite()]
+    graphs += [g for g in all_graphs(6) if g.is_connected() and g.is_bipartite()
+               or sum(len(c) > 1 for c in g.components) >= 2]
     pairs = list(itertools.combinations(range(6), 2))
     for bits in random.Random(6).sample(range(1 << len(pairs)), 1500):
         graphs.append(build(6, [p for k, p in enumerate(pairs) if bits >> k & 1]))
@@ -331,20 +334,62 @@ def test_closed_sets_match_the_all_sets_route_exhaustively():
 
 
 def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):
-    # the directed bonds give the facets and their tags: no closed set
-    # is listed and no rank is taken
-    graphs = [g for g in bipartite_battery() if g.is_connected()]
-    graphs += [spider(4), random_connected_bipartite(12, random.Random(3), 0.2)]
+    # when every component is bipartite the directed bonds give the
+    # facets and their tags: no closed set is listed and no rank is taken
+    battery = [g for g in bipartite_battery() if g.is_connected()]
+    graphs = battery + [spider(4), random_connected_bipartite(12, random.Random(3), 0.2)]
+    # unions with single edges and isolated vertices, placed below and
+    # above the other vertices and then shuffled
+    single, isolated = path(2), build(1, [])
+    graphs += [disjoint_union(parts) for parts in (
+        [single, single], [isolated, single, isolated], [isolated, cycle(6)],
+        [cycle(6), isolated], [path(3), isolated, path(4)], [single, K23, isolated])]
+    rng = random.Random(16)
+    for _ in range(150):
+        parts = rng.sample(battery, rng.randint(1, 3))
+        parts += [single] * rng.randint(0, 2) + [isolated] * rng.randint(0, 2)
+        n = sum(g.vertex_count for g in parts)
+        if len(parts) > 1 and n <= 12:
+            graphs.append(disjoint_union(parts, rng.sample(range(n), n)))
     expected = [reference_facets(g) for g in graphs]
 
     def refuse(*args):
-        raise AssertionError("called on a connected bipartite graph")
+        raise AssertionError("called on a graph with bipartite components only")
 
     module = importlib.import_module("edgecone.facets")  # the package shadows it
     monkeypatch.setattr(module, "_closed_sets", refuse)
     monkeypatch.setattr(module, "_edge_rank", refuse)
     for g, reference in zip(graphs, expected):
-        assert facets(g) == reference, g.edges
+        assert facets(g) == reference, (g.vertex_count, g.edges)
+    # an isolated vertex below spider(16) shifts every index by one and
+    # joins every set tag; the edges and the order stay
+    fs = facets(disjoint_union([isolated, spider(16)]), max_vertices=34)
+    shifted = []
+    for f in facets(spider(16), max_vertices=33):
+        tag = f.halfspace.plane.tag
+        shifted.append((CoordinateTag(tag.vertex + 1) if isinstance(tag, CoordinateTag)
+                        else IndependentSetTag((0,) + tuple(v + 1 for v in tag.vertices)),
+                        f.generators_on))
+    assert [(f.halfspace.plane.tag, f.generators_on) for f in fs] == shifted
+    assert len(fs) == 32
+
+
+def test_facets_of_seeded_unions_match_the_all_sets_route():
+    # 3-5 components: bipartite and not, single edges and isolated
+    # vertices, shuffled so that the sides joining a set tag fall
+    # below, between and above its own members
+    small = connected_graphs_upto(5)
+    kinds = ([g for g in small if g.vertex_count > 2 and g.is_bipartite()],
+             [g for g in small if not g.is_bipartite()], [path(2)], [build(1, [])])
+    rng = random.Random(12)
+    tested = 0
+    while tested < 300:
+        parts = [rng.choice(rng.choice(kinds)) for _ in range(rng.randint(3, 5))]
+        n = sum(g.vertex_count for g in parts)
+        if n <= 12:
+            g = disjoint_union(parts, rng.sample(range(n), n))
+            assert facets(g) == reference_facets(g), (g.vertex_count, g.edges)
+            tested += 1
 
 
 def test_closed_sets_on_a_16_vertex_bipartite_graph():

@@ -125,6 +125,11 @@ def test_vertex_indices_must_be_ints(bad):
             with pytest.raises(ValueError, match="vertex index must be an int"):
                 call(a)
     assert vertex_set(g, iter([2, 0, 2])) == (0, 2)
+    # edge indices take the same check: (False, True) is not (0, 1), and
+    # (0, 1.0) fails here rather than in the bitmask arithmetic
+    for edge in ((0, bad), (bad, 1), (False, True)):
+        with pytest.raises(ValueError, match="vertex index must be an int"):
+            Graph(("a", "b"), (edge,))
 
 
 def test_bipartition_side1_contains_smallest_index():

@@ -24,7 +24,7 @@ from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
                       independent_set_halfspace, independent_sets,
                       integer_decompose, is_independent, membership,
                       neighbor_set)
-from battery import (build, check_witness, combinatorial_facet_sets, on_edges,
+from battery import (build, check_witness, combinatorial_facet_sets, disjoint_union, on_edges,
                      reference_canonical, reference_facets,
                      reference_hall_violator, scan_membership)
 
@@ -69,14 +69,9 @@ def unions(draw):
     parts = [draw(st.one_of(graphs(max_vertices=5),
                             connected_bipartite_graphs(max_vertices=5)))
              for _ in range(2)]
-    isolated = draw(st.integers(0, 2))
-    n = sum(g.vertex_count for g in parts) + isolated
-    label = draw(st.permutations(range(n)))
-    edges, offset = [], 0
-    for g in parts:
-        edges += [(label[offset + i], label[offset + j]) for i, j in g.edges]
-        offset += g.vertex_count
-    return build(n, edges)
+    parts += [build(1, [])] * draw(st.integers(0, 2))
+    n = sum(g.vertex_count for g in parts)
+    return disjoint_union(parts, draw(st.permutations(range(n))))
 
 
 @st.composite
