@@ -71,23 +71,19 @@ def _load_graph(path: str) -> Graph:
 
 
 def _plain_lines(doc, prefix="") -> list[str]:
-    lines = []
+    """A dict or list, one scalar per line: ``key: value`` or ``- value``,
+    and a nested dict or list under its ``key:`` or ``-`` line, indented."""
     if isinstance(doc, dict):
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{prefix}{key}:")
-                lines.extend(_plain_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}{key}: {value}")
-    elif isinstance(doc, list):
-        for value in doc:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{prefix}-")
-                lines.extend(_plain_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {value}")
+        labelled = ((f"{key}:", value) for key, value in doc.items())
     else:
-        lines.append(f"{prefix}{doc}")
+        labelled = (("-", value) for value in doc)
+    lines = []
+    for label, value in labelled:
+        if isinstance(value, (dict, list)):
+            lines.append(prefix + label)
+            lines.extend(_plain_lines(value, prefix + "  "))
+        else:
+            lines.append(f"{prefix}{label} {value}")
     return lines
 
 

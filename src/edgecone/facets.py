@@ -263,19 +263,19 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     most one candidate, and no grouping is needed.  The candidates are
     the coordinates of ``C`` and its closed sets, the independent ``A``
     such that every ``u`` in ``C`` with ``N(u) <= N(A)`` lies in ``A``;
-    no other set cuts a facet, so each facet has exactly one.  Let ``R = C - A - N(A)``.  An
-    edge of ``C`` lies on ``A``'s hyperplane iff it joins ``A`` to
-    ``N(A)`` or lies inside ``R``; call the graph of those edges ``H``,
-    on ``C``.  The face has rank ``|C|`` minus the bipartite components
-    of ``H``, and the ``A``-``N(A)`` edges form bipartite components of
-    ``H``.  Now let ``u`` outside ``A`` have ``N(u) <= N(A)``.  Then
-    ``u`` lies in ``R`` (a neighbor of ``u`` in ``A`` would lie in
-    ``N(A)``, next to a member of ``A``), all its edges reach ``N(A)``
-    and are off the hyperplane, so ``u`` is a component of ``H`` by
-    itself, and its neighbors lie in a further one, of ``A``-``N(A)``
-    edges: the rank is at most ``|C| - 2``.  Close-by-One lists the
-    closed sets, so the cost follows their number, not the number of
-    independent sets.
+    no other set cuts a facet, so each facet has exactly one.  Let
+    ``R = C - A - N(A)``.  An edge of ``C`` lies on ``A``'s hyperplane
+    iff it joins ``A`` to ``N(A)`` or lies inside ``R``; call the graph
+    of those edges ``H``, on ``C``.  The face has rank ``|C|`` minus
+    the bipartite components of ``H``, and the ``A``-``N(A)`` edges
+    form bipartite components of ``H``.  Now let ``u`` outside ``A``
+    have ``N(u) <= N(A)``.  Then ``u`` lies in ``R`` (a neighbor of
+    ``u`` in ``A`` would lie in ``N(A)``, next to a member of ``A``),
+    all its edges reach ``N(A)`` and are off the hyperplane, so ``u`` is
+    a component of ``H`` by itself, and its neighbors lie in a further
+    one, of ``A``-``N(A)`` edges: the rank is at most ``|C| - 2``.
+    Close-by-One lists the closed sets, so the cost follows their
+    number, not the number of independent sets.
     """
     dim = cone_dimension(g)
     if dim <= 1:

@@ -72,39 +72,35 @@ def _facet_data(generators: tuple[tuple[int, ...], ...]):
 
     Read off the rows ``r . x >= 0`` of ``_projection_rows``.  Every
     facet-defining inequality appears among the rows of any
-    H-description of the cone, up to the span's equations (the rows that
-    vanish on every generator, skipped here).  A face is the cone of the
-    generators it vanishes on, so a row's on-set identifies its face,
-    and the face is a facet exactly when the on-set has rank d - 1
-    (d = rank); that rejects rows that support only a lower face.
-    Cones of rank <= 1 have no facet besides the apex.
+    H-description of the cone.  A face is the cone of the generators it
+    vanishes on, so a row's on-set identifies its face, and the face is
+    a facet exactly when the on-set has rank d - 1 (d = rank of the
+    generators); that rejects rows that support only a lower face.
 
-    The normal is the vector inside the span orthogonal to the on-set:
-    one ``integer_rref`` per generator tuple gives a span basis, and the
-    normal's coefficients in it span the kernel of the on-generators'
-    products with that basis.  The basis's Gram matrix is invertible, so
-    that kernel is one-dimensional exactly when the on-set has rank
-    d - 1, and ``integer_kernel`` returning None is the rank test.
+    The rows that vanish on every generator are the span's equations:
+    the cone's implicit equalities, so they span the orthogonal
+    complement of the span.  The kernel of the on-generators stacked
+    over those equations is therefore the set of vectors inside the
+    span orthogonal to the on-set, of dimension d minus the on-set's
+    rank.  It is one-dimensional exactly when the on-set has rank
+    d - 1, so ``integer_kernel`` returning None is the rank test (it
+    rejects the equations' own on-set, of rank d), and its primitive
+    vector is the normal.  An on-set of zero generators alone is the
+    apex: it is a facet only of a ray (d = 1), which counts none.
     """
     width = len(generators[0]) if generators else 0
-    reduced, pivots = integer_rref(generators, width)
-    d = len(pivots)
-    if d <= 1:
-        return ()
-    basis = [primitive(row) for row in reduced]  # span basis, d rows
+    rows = _projection_rows(generators, width)
+    on_sets = [tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
+               for row in rows]
+    equations = [row for row, on in zip(rows, on_sets)
+                 if len(on) == len(generators)]
     found = []
-    for on in {tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
-               for row in _projection_rows(generators, width)}:
-        if len(on) == len(generators):  # an equation of the span
+    for on in set(on_sets):
+        if not any(any(generators[i]) for i in on):  # the apex
             continue
-        # normal = c . basis with <normal, g> = 0 for g on the row
-        coeffs = integer_kernel(
-            [[dot(b, generators[i]) for b in basis] for i in on], d)
-        if coeffs is None:
+        normal = integer_kernel([generators[i] for i in on] + equations, width)
+        if normal is None:
             continue
-        normal = primitive([
-            sum(c * b[col] for c, b in zip(coeffs, basis))
-            for col in range(width)])
         if all(dot(normal, g) <= 0 for g in generators):
             normal = tuple(-c for c in normal)
         found.append((normal, on))
@@ -164,32 +160,21 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
             outputs.add(eq)
             outputs.add(tuple(-c for c in eq))
     free = [i for i in range(q) if i not in pivot_rows]
-    index_of = {t: pos for pos, t in enumerate(free)}
-    width = len(free) + n
-
-    def seed(i: int) -> tuple[tuple[int, ...], frozenset[int]]:
-        row = [0] * width
-        if i in pivot_rows:
-            # t_i >= 0 with t_i substituted from its equality row, whose
-            # pivot entry is positive.
-            src = pivot_rows[i]
-            for j in free:
-                row[index_of[j]] = -src[j]
-            for v in range(n):
-                row[len(free) + v] = -src[q + v]
-        else:
-            row[index_of[i]] = 1
-        return primitive(row) if any(row) else None, frozenset([i])
-
     rows: dict[tuple[int, ...], frozenset[int]] = {}
     for i in range(q):
-        row, ancestors = seed(i)
-        if row is None:
-            continue
+        if i in pivot_rows:
+            # t_i >= 0 with t_i substituted from its equality row, whose
+            # pivot entry is positive.  Each equality has -1 in its own
+            # coordinate column, so every reduced row, a nonzero
+            # combination of them, has a nonzero coordinate part.
+            src = pivot_rows[i]
+            row = primitive([-src[j] for j in free] + [-c for c in src[q:]])
+        else:
+            row = tuple(int(j == i) for j in free) + (0,) * n
         if not any(row[:len(free)]):
             outputs.add(row[len(free):])
         elif row not in rows:
-            rows[row] = ancestors
+            rows[row] = frozenset([i])
 
     # A kept row is zero in every eliminated column and nonzero in a
     # later one, so no row is left after the last column.

@@ -17,7 +17,9 @@ from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
                       coordinate_halfspace, edge_vectors, face_dimension,
                       independent_set_halfspace, independent_sets,
                       is_independent, neighbor_set)
+from edgecone import oracle
 from edgecone.cone import SENSE_LE, Halfspace, Hyperplane
+from edgecone.rational import dot, integer_kernel, integer_rref, primitive
 
 
 def build(n: int, edges) -> Graph:
@@ -292,6 +294,37 @@ def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def span_basis_facet_data(generators) -> tuple:
+    """Reference for ``oracle._facet_data`` on integer generator tuples:
+    the same on-sets of the Fourier-Motzkin rows, but each normal built
+    in a span basis.  ``integer_rref`` gives the basis; the normal's
+    coefficients in it span the kernel of the on-generators' products
+    with the basis, whose Gram matrix is invertible, so that kernel is
+    one-dimensional exactly when the on-set has rank d - 1.  Cones of
+    rank <= 1 have no facet besides the apex."""
+    width = len(generators[0]) if generators else 0
+    reduced, pivots = integer_rref(generators, width)
+    d = len(pivots)
+    if d <= 1:
+        return ()
+    basis = [primitive(row) for row in reduced]
+    found = []
+    for on in {tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
+               for row in oracle._projection_rows(generators, width)}:
+        if len(on) == len(generators):  # an equation of the span
+            continue
+        coeffs = integer_kernel(
+            [[dot(b, generators[i]) for b in basis] for i in on], d)
+        if coeffs is None:
+            continue
+        normal = primitive([sum(c * b[col] for c, b in zip(coeffs, basis))
+                            for col in range(width)])
+        if all(dot(normal, g) <= 0 for g in generators):
+            normal = tuple(-c for c in normal)
+        found.append((normal, on))
+    return tuple(sorted(found))
 
 
 class EdmondsKarp:

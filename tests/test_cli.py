@@ -181,6 +181,21 @@ def test_oracle_flag(graph_file, capsys):
     assert json.loads(out)["validation"]["passed"] is True
 
 
+def test_failed_validation_exits_1(graph_file, capsys, monkeypatch):
+    # a library that finds no facets fails the oracle's facet check
+    monkeypatch.setattr("edgecone.oracle.facets", lambda g: ())
+    path = graph_file(TRIANGLE)
+    for argv in (("validate", path), ("dim", path, "--oracle")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        validation = json.loads(out)["validation"]
+        assert validation["passed"] is False
+        assert validation["checks"][0] == {
+            "name": "facets", "passed": False,
+            "detail": "facet mismatch: oracle-only [[0, 1], [0, 2], [1, 2]], "
+                      "library-only []"}
+
+
 def test_parse_error_exit_2(graph_file, capsys):
     code, _, err = run(capsys, "dim", graph_file("a a\n"))
     assert code == 2
@@ -258,3 +273,12 @@ def test_plain_format(graph_file, capsys):
     assert code == 0
     assert "dimension: 3" in out
     assert not out.startswith("{")
+
+
+def test_plain_format_nests_lists_and_dicts(graph_file, capsys):
+    code, out, _ = run(capsys, "matching", graph_file(SINGLE), "--format", "plain")
+    assert code == 0
+    assert out == (
+        "command: matching\nvertices:\n  - a\n  - b\nedges:\n  -\n    - a\n"
+        "    - b\nhas_perfect_matching: True\nmatching:\n  -\n    - a\n"
+        "    - b\nviolator: None\n")

@@ -164,6 +164,14 @@ def test_bipartite_facet_check_rejections():
         bipartite_facet_check(parse_graph("a b\nc d"), [0])  # disconnected
 
 
+@pytest.mark.parametrize("call", [bipartite_facet_check, dual_facet])
+def test_empty_and_dependent_sets_are_rejected(call):
+    with pytest.raises(ValueError, match="^independent set must be nonempty$"):
+        call(cycle(6), [])
+    with pytest.raises(ValueError, match=r"^vertex set \(0, 1\) is not independent$"):
+        call(cycle(6), [0, 1])
+
+
 def test_bipartite_facet_check_agrees_with_rank_criterion():
     rng = random.Random(23)
     for trial in range(15):

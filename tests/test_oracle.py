@@ -1,14 +1,16 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from edgecone import (EnumerationGateError, brute_force_facet_generator_sets,
                       brute_force_facets, cross_validate, edge_vectors,
                       facets, fm_membership, membership, parse_graph)
-from battery import (build, complete, complete_bipartite, connected_graphs_upto, cycle,
-                     random_connected, standard_battery, star)
+from battery import (bipartite_battery, build, complete, complete_bipartite,
+                     connected_graphs_upto, cycle, random_connected,
+                     span_basis_facet_data, standard_battery, star)
 from edgecone import oracle
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
@@ -199,6 +201,40 @@ def test_brute_force_facets_at_the_generator_gate(g):
             == frozenset(frozenset(f.generators_on) for f in facets(g)))
 
 
+HAND_MADE_GENERATORS = {
+    "zero generator": [(1, 0, 1), (0, 0, 0), (0, 1, 1)],
+    "fractions": [(Fraction(1, 2), 0, 1), (0, Fraction(2, 3), 1),
+                  (1, 1, Fraction(5, 4))],
+    "ray plus zero": [(2, 1), (0, 0)],
+    "all zero": [(0, 0, 0), (0, 0, 0)],
+    "half-plane": [(1, 0), (-1, 0), (0, 1)],
+}
+
+
+def test_facet_data_equals_the_span_basis_route():
+    """The normals read off the span's equations equal the ones the
+    span-basis route builds, on-sets and order included."""
+    rng = random.Random(83)
+    seeded = [random_connected(rng.randint(1, 10), rng, rng.choice((0.1, 0.25, 0.4)))
+              for _ in range(120)]
+    graphs = standard_battery() + bipartite_battery() + tuple(
+        g for g in seeded if len(g.edges) <= oracle.ORACLE_MAX_GENERATORS)
+    sets = [edge_vectors(g) for g in graphs] + list(HAND_MADE_GENERATORS.values())
+    for raw in sets:
+        gens = oracle._as_int_tuples(raw)
+        assert oracle._facet_data(gens) == span_basis_facet_data(gens), raw
+
+
+def test_facet_data_of_hand_made_cones():
+    def data(name):
+        return oracle._facet_data(oracle._as_int_tuples(HAND_MADE_GENERATORS[name]))
+    # a ray's only proper face is its apex, which counts as no facet
+    assert data("ray plus zero") == () and data("all zero") == ()
+    assert data("half-plane") == (((0, 1), (0, 1)),)
+    # the normals lie in the span, and each facet holds the zero generator
+    assert data("zero generator") == (((-1, 2, 1), (0, 1)), ((2, -1, 1), (1, 2)))
+
+
 def test_span_equations_are_not_facets():
     # K2,3's span has the equation x_left = x_right, a projection row that
     # vanishes on every generator
@@ -263,6 +299,24 @@ def test_cross_validate_random_graphs():
     for trial in range(10):
         g = random_connected(rng.randint(1, 7), rng, 0.4)
         assert cross_validate(g).passed, g.edges
+
+
+def test_cross_validate_reports_mismatches(monkeypatch):
+    # a library that loses two triangle facets, invents one, and flips
+    # every membership verdict: each check names its witness
+    real_membership = oracle.membership
+    monkeypatch.setattr("edgecone.oracle.facets", lambda g: [
+        SimpleNamespace(generators_on=on) for on in ((0, 1), (2,))])
+    monkeypatch.setattr("edgecone.oracle.membership", lambda g, x: SimpleNamespace(
+        is_member=not real_membership(g, x).is_member))
+    report = cross_validate(TRIANGLE)
+    assert not report.passed
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("facets", False,
+         "facet mismatch: oracle-only [[0, 2], [1, 2]], library-only [[2]]"),
+        ("membership", False,
+         "membership mismatch at (1, 1, 0): flow says False, elimination says True"),
+        ("dimension", True, "vertex count minus bipartite components = 3, rank = 3")]
 
 
 @pytest.mark.parametrize("g, message", [

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from edgecone import parse_graph
 from edgecone.serialize import (MAX_DECIMAL_EXPONENT, MAX_ECHOED_CHARS,
-                                parse_rational_vector)
+                                parse_rational_vector, tag_doc)
 
 
 def test_parse_exact_rationals_and_decimals():
@@ -47,3 +48,10 @@ def test_errors_name_the_entry_and_stay_short(text, position):
     assert position in message
     # the entry and the underlying error are each cut to the cap
     assert len(message) < 3 * MAX_ECHOED_CHARS + 100
+
+
+def test_tag_doc_raw_and_unknown_tags():
+    g = parse_graph("a b")
+    assert tag_doc(None, g) == {"kind": "raw"}
+    with pytest.raises(TypeError, match=r"^unknown tag \('a',\)$"):
+        tag_doc(("a",), g)
