@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _independent_set_normals,
                     bipartite_component_count, vertex_set)
-from .rational import Rational, clear_denominators, dot, is_primitive
+from .rational import Rational, clear_denominators, dot, is_int, is_primitive
 
 SENSE_GE = ">=0"
 SENSE_LE = "<=0"
@@ -103,6 +103,8 @@ class ConeRepresentation:
 
 def coordinate_halfspace(g: Graph, vertex: int) -> Halfspace:
     n = g.vertex_count
+    if not is_int(vertex):
+        raise ValueError(f"vertex index must be an int, got {vertex!r}")
     if not 0 <= vertex < n:
         raise ValueError(f"vertex index out of range: {vertex}")
     normal = (0,) * vertex + (1,) + (0,) * (n - vertex - 1)
@@ -131,20 +133,6 @@ def _set_halfspace(g: Graph, members: VertexSet) -> Halfspace:
     return Halfspace(Hyperplane(tuple(normal), IndependentSetTag(members)), SENSE_LE)
 
 
-def component_equation(g: Graph, component: int) -> Hyperplane:
-    """Balance equation of a bipartite component: side-1 sum equals
-    side-2 sum (degenerating to ``x_v = 0`` for an isolated vertex)."""
-    sides = g.bipartitions[component]
-    if sides is None:
-        raise ValueError(f"component {component} is not bipartite")
-    normal = [0] * g.vertex_count
-    for v in sides[0]:
-        normal[v] = 1
-    for v in sides[1]:
-        normal[v] = -1
-    return Hyperplane(tuple(normal), ComponentTag(component))
-
-
 def cone_dimension(g: Graph) -> int:
     """Dimension of the edge cone, which is the rank of the incidence
     columns: vertex count minus the number of bipartite components.
@@ -153,10 +141,19 @@ def cone_dimension(g: Graph) -> int:
 
 
 def affine_hull(g: Graph) -> tuple[Hyperplane, ...]:
-    """One balance equation per bipartite component (isolated vertices
-    included as ``x_v = 0``); non-bipartite components contribute none."""
-    return tuple(component_equation(g, k)
-                 for k, sides in enumerate(g.bipartitions) if sides is not None)
+    """One balance equation per bipartite component, side-1 sum equal to
+    side-2 sum (isolated vertices included as ``x_v = 0``);
+    non-bipartite components contribute none."""
+    equations = []
+    for k, sides in enumerate(g.bipartitions):
+        if sides is not None:
+            normal = [0] * g.vertex_count
+            for v in sides[0]:
+                normal[v] = 1
+            for v in sides[1]:
+                normal[v] = -1
+            equations.append(Hyperplane(tuple(normal), ComponentTag(k)))
+    return tuple(equations)
 
 
 def full_representation(g: Graph,
@@ -294,25 +291,26 @@ class _MaxFlow:
         return seen
 
 
-def _route(g: Graph, point: Sequence[int]) -> _MaxFlow | Halfspace:
-    """The maximum flow that routes the integer ``point``, or the
-    halfspace it violates: the lowest-index negative coordinate, or else
-    an independent set from which no single vertex can be dropped.
+def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
+    """The flows on the edge arcs of a maximum flow that routes the
+    integer ``point``, or the halfspace it violates: the lowest-index
+    negative coordinate, or else an independent set from which no
+    single vertex can be dropped.
 
     ``point`` is in the cone iff ``(point, point)`` routes on the
     bipartite double cover: arcs ``source -> v``, ``v' -> sink`` of
     capacity ``point[v]`` and uncapped ``v -> w'``, ``w -> v'`` per edge
     ``vw``.  A bipartite component's cover is a copy from side 1 to side
-    2' plus its exact reverse, so only the copy is built, edge arcs
-    first: on a bipartite graph arc ``k`` is edge ``k``.  A short flow
-    leaves reachable left vertices ``S`` with ``point(S) > point(N(S))``
-    (the reverse copy carries the reversed flow, so side-2 ``w`` is in
-    ``S`` iff ``w'`` reaches the sink); those outside ``N(S)`` are
-    independent, have no neighbor in ``S`` and so keep that surplus.
-    Passes from the highest index down then drop vertices while the rest
-    stays violated; dropping ``v`` takes from the neighbor set exactly
-    the neighbors of ``v`` that no other member touches, so each test
-    costs ``deg v``.
+    2' plus its exact reverse, so only the copy is built: on a bipartite
+    graph edge arc ``k``, and entry ``k`` of the result, is edge ``k``.
+    A short flow leaves reachable left vertices ``S`` with
+    ``point(S) > point(N(S))`` (the reverse copy carries the reversed
+    flow, so side-2 ``w`` is in ``S`` iff ``w'`` reaches the sink);
+    those outside ``N(S)`` are independent, have no neighbor in ``S``
+    and so keep that surplus.  Passes from the highest index down then
+    drop vertices while the rest stays violated; dropping ``v`` takes
+    from the neighbor set exactly the neighbors of ``v`` that no other
+    member touches, so each test costs ``deg v``.
     """
     for v, c in enumerate(point):
         if c < 0:
@@ -326,12 +324,13 @@ def _route(g: Graph, point: Sequence[int]) -> _MaxFlow | Halfspace:
     right = [v for v in range(n) if v not in side1]
     arcs = [(u, n + w, total) for i, j in g.edges
             for u, w in ((i, j), (j, i)) if u not in side2]
+    edge_arcs = len(arcs)
     arcs += [(source, v, point[v]) for v in left]
     arcs += [(n + v, sink, point[v]) for v in right]
     flow = _MaxFlow(2 * n + 2, arcs)
     value = flow.run(source, sink)
     if value == sum(point[v] for v in left) == sum(point[v] for v in right):
-        return flow
+        return flow.cap[1:2 * edge_arcs:2]
     reached = flow.reachable()
     if side2:
         back = flow.reaching(sink)
@@ -370,10 +369,7 @@ def membership(g: Graph, x: Sequence[Rational]) -> MembershipResult:
     the lowest-index negative coordinate or a violated independent set
     from which no single vertex can be dropped.
     """
-    if len(x) != g.vertex_count:
-        raise ValueError(
-            f"vector has dimension {len(x)}, graph has {g.vertex_count} vertices")
-    routed = _route(g, clear_denominators(x))
+    routed = _route(g, clear_denominators(x, g.vertex_count))
     if isinstance(routed, Halfspace):
         return MembershipResult(False, routed)
     return MembershipResult(True)

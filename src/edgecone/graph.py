@@ -12,9 +12,11 @@ indices wherever it is searched or combined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, EnumerationGateError
+from .rational import all_int, is_int
 
 # Enumerating independent sets, closed sets or directed bonds can take
 # time exponential in the vertex count; the gate keeps that from being
@@ -49,11 +51,11 @@ class Graph:
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex labels")
+        if not all_int(chain.from_iterable(self.edges)):
+            vertex_set(self, chain.from_iterable(self.edges))  # raises the type error
         masks = [0] * n
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
-            if type(i) is not int or type(j) is not int:
-                vertex_set(self, (i, j))  # its check rejects bools and non-ints
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if i == j:
@@ -159,11 +161,11 @@ def parse_graph(text: str) -> Graph:
 
 def vertex_set(g: Graph, indices: Iterable[int]) -> VertexSet:
     """Normalize a collection of vertex indices: sorted, deduplicated,
-    range-checked against ``g``.  Every index must be an ``int``; bools
-    are rejected, not read as 0 and 1."""
+    range-checked against ``g``.  Every index must pass ``is_int``: bools
+    and other ``int`` subclasses are rejected, not read as integers."""
     given = list(indices)
     for v in given:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_int(v):
             raise ValueError(f"vertex index must be an int, got {v!r}")
     s = sorted(set(given))
     if s and not (0 <= s[0] and s[-1] < g.vertex_count):

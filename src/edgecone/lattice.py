@@ -4,8 +4,10 @@ For a bipartite graph the incidence matrix is totally unimodular, so an
 integer vector lies in the edge cone exactly when it is a sum of edge
 vectors with nonnegative integer multiplicities.  The flow that decides
 membership routes the target from side 1 to side 2 along the edges, so
-its integral value on each edge arc is the decomposition; the all-ones
-target decides the perfect matching question.
+its integral value on each edge is the decomposition; the all-ones
+target decides the perfect matching question.  Integer vectors pass
+``rational.integer_vector`` on entry: exact integers only, and of the
+graph's length where one is given.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from .cone import Halfspace, _route
 from .errors import GraphRequirementError
 from .graph import Graph, VertexSet
+from .rational import integer_vector
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,7 @@ class MatchingResult:
 def parity_check(b) -> bool:
     """Necessary condition for an integer vector to lie in a bipartite
     edge cone: the coordinate sum is even (every edge vector adds 2)."""
-    _require_integers(b)
-    return sum(b) % 2 == 0
-
-
-def _require_integers(b):
-    for c in b:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"expected integer entries, got {c!r}")
+    return sum(integer_vector(b)) % 2 == 0
 
 
 def _require_bipartite(g: Graph, what: str):
@@ -87,16 +83,11 @@ def integer_decompose(g: Graph, b) -> DecompositionResult:
     canonical, so another version may return another one.
     """
     _require_bipartite(g, "integer decomposition")
-    _require_integers(b)
-    if len(b) != g.vertex_count:
-        raise ValueError(
-            f"vector has dimension {len(b)}, graph has {g.vertex_count} vertices")
-    routed = _route(g, b)
+    routed = _route(g, integer_vector(b, g.vertex_count))
     if isinstance(routed, Halfspace):
         return DecompositionResult(violated=routed)
-    sent = routed.cap[1:2 * len(g.edges):2]  # flow on the arc of edge k
     return DecompositionResult(EdgeDecomposition(
-        tuple((k, used) for k, used in enumerate(sent) if used)))
+        tuple((k, used) for k, used in enumerate(routed) if used)))
 
 
 def has_perfect_matching(g: Graph) -> MatchingResult:

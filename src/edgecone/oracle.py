@@ -13,10 +13,13 @@ in the package:
   rows, not off generator subsets: a row whose on-generators have rank
   d - 1 supports a facet.  It knows nothing about graphs.
 
-Generators and points pass ``clear_denominators`` on entry; a positive
-rescale of a generator leaves the cone and the generator indices
-unchanged.  From there on all arithmetic, elimination included, is on
-integers.
+Every entry point takes its generators through ``_intake``, which
+checks the generator-count gate before reading any entry, then the
+width and the dimension gate, and then passes each generator through
+``clear_denominators``; a point passes ``clear_denominators`` before
+any elimination.  A positive rescale of a generator leaves the cone
+and the generator indices unchanged.  From there on all arithmetic,
+elimination included, is on integers.
 
 The gates here are deliberately tight: the oracle exists for
 verification, not production.
@@ -45,25 +48,28 @@ _CACHE_SIZE = 128  # generator tuples whose facets or projection rows are kept
 _COMBINATIONS, _RANDOM_POINTS, _SEED = 25, 25, 0  # cross_validate's point battery
 
 
-def _check_gate(generators, dimension: int):
-    if len(generators) > ORACLE_MAX_GENERATORS:
+def _intake(generators, width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The generators, gated and then cleared: the oracle's one entry check.
+
+    The count gate comes first, so an oversized input is refused before
+    any entry is read.  The width is ``width`` when given, else the
+    first generator's; the dimension gate applies to it, and every
+    generator must have it.
+    """
+    gens = tuple(generators)
+    if len(gens) > ORACLE_MAX_GENERATORS:
         raise EnumerationGateError(
-            f"{len(generators)} generators exceed the oracle gate of "
+            f"{len(gens)} generators exceed the oracle gate of "
             f"{ORACLE_MAX_GENERATORS}")
-    if dimension > ORACLE_MAX_DIMENSION:
+    if width is None:
+        width = len(gens[0]) if gens else 0
+    if width > ORACLE_MAX_DIMENSION:
         raise EnumerationGateError(
-            f"dimension {dimension} exceeds the oracle gate of "
-            f"{ORACLE_MAX_DIMENSION}")
-
-
-def _as_int_tuples(generators) -> tuple[tuple[int, ...], ...]:
-    gens = tuple(clear_denominators(g) for g in generators)
-    if gens:
-        width = len(gens[0])
-        for g in gens:
-            if len(g) != width:
-                raise ValueError("generators of mixed dimension")
-    return gens
+            f"dimension {width} exceeds the oracle gate of {ORACLE_MAX_DIMENSION}")
+    if not {*map(len, gens)} <= {width}:
+        raise ValueError(
+            f"generators of mixed dimension: expected {width} entries each")
+    return tuple(map(clear_denominators, gens))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -119,10 +125,8 @@ def brute_force_facets(generators) -> tuple[Hyperplane, ...]:
     generators on its nonpositive side (matching the orientation the
     graph-derived halfspaces use).
     """
-    gens = _as_int_tuples(generators)
-    _check_gate(gens, len(gens[0]) if gens else 0)
     planes = []
-    for inward, _ in _facet_data(gens):
+    for inward, _ in _facet_data(_intake(generators)):
         presented = inward if _is_unit_vector(inward) else tuple(-c for c in inward)
         planes.append(Hyperplane(presented, None))
     return tuple(planes)
@@ -130,9 +134,7 @@ def brute_force_facets(generators) -> tuple[Hyperplane, ...]:
 
 def brute_force_facet_generator_sets(generators) -> frozenset[frozenset[int]]:
     """Facets identified by their generator index sets."""
-    gens = _as_int_tuples(generators)
-    _check_gate(gens, len(gens[0]) if gens else 0)
-    return frozenset(frozenset(on) for _, on in _facet_data(gens))
+    return frozenset(frozenset(on) for _, on in _facet_data(_intake(generators)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -216,18 +218,13 @@ def fm_membership(generators, x: Sequence[Rational]) -> bool:
     Decided against the Fourier-Motzkin projection of the multiplier
     system; agrees with any nonnegative-combination certificate.
     """
-    gens = _as_int_tuples(generators)
-    n = len(x)
-    if gens and len(gens[0]) != n:
-        raise ValueError(
-            f"vector has dimension {n}, generators have {len(gens[0])}")
-    _check_gate(gens, n)
-    return _satisfies(_projection_rows(gens, n), x)
+    gens = _intake(generators, len(x))
+    point = clear_denominators(x)  # before any elimination
+    return _satisfies(_projection_rows(gens, len(x)), point)
 
 
-def _satisfies(rows, x: Sequence[Rational]) -> bool:
-    """Does ``x``, past the exact-input gate, meet ``r . x >= 0`` for every row?"""
-    point = clear_denominators(x)
+def _satisfies(rows, point: Sequence[int]) -> bool:
+    """Does the integer ``point`` meet ``r . x >= 0`` for every row?"""
     return all(dot(row, point) >= 0 for row in rows)
 
 
@@ -281,9 +278,7 @@ def cross_validate(g: Graph) -> ValidationReport:
     the oracle's facets and every point's verdict come from those rows,
     so a row missing from the projection shows as a facet mismatch.
     """
-    vectors = edge_vectors(g)
-    _check_gate(vectors, g.vertex_count)
-    gens = _as_int_tuples(vectors)
+    gens = _intake(edge_vectors(g), g.vertex_count)
     checks = []
 
     library_sets = frozenset(frozenset(f.generators_on) for f in facets(g))
@@ -303,7 +298,7 @@ def cross_validate(g: Graph) -> ValidationReport:
     for point in _point_battery(g, _COMBINATIONS, _RANDOM_POINTS, _SEED):
         tested += 1
         lib = membership(g, point).is_member
-        orc = _satisfies(rows, point)
+        orc = _satisfies(rows, clear_denominators(point))
         if lib != orc:
             disagreement = (point, lib, orc)
             break
@@ -316,7 +311,7 @@ def cross_validate(g: Graph) -> ValidationReport:
     checks.append(Check("membership", disagreement is None, detail))
 
     formula = cone_dimension(g)
-    rank = rational_rank(vectors)
+    rank = rational_rank(gens)
     checks.append(Check(
         "dimension", formula == rank,
         f"vertex count minus bipartite components = {formula}, rank = {rank}"))

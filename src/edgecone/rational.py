@@ -1,11 +1,15 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on small dense matrices, and the
+package's checks on exact input.
 
-Input is ``int`` or ``fractions.Fraction`` only; no floating point is
-used anywhere in the package.  Fractions enter through
-``clear_denominators`` and become integers there, so the one
-elimination routine, ``integer_rref``, runs on integers alone.  The
-library computes ranks from graph combinatorics; elimination here
-serves the oracle.
+An exact integer is a value whose type is ``int`` (``is_int``): bools
+and other ``int`` subclasses fail that rule, so ``True`` is never read
+as 1.  Exact rationals are exact integers or ``fractions.Fraction``; no
+floating point is used anywhere in the package.  Rational vectors enter
+through ``clear_denominators``, which also checks their length, and
+become integers there; ``integer_vector`` holds integer vectors to the
+integer rule and the same length check.  So the one elimination
+routine, ``integer_rref``, runs on integers alone.  The library computes ranks from graph combinatorics;
+elimination here serves the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rational = int | Fraction
 
@@ -24,22 +28,47 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return sum(map(mul, u, v))
 
 
-def clear_denominators(x: Sequence[Rational]) -> tuple[int, ...]:
+def is_int(c) -> bool:
+    """The one exact-integer rule: the type is ``int`` itself, so bools
+    and ``IntEnum`` members fail."""
+    return type(c) is int
+
+
+def all_int(x: Iterable) -> bool:
+    """``is_int`` of every entry, read off the set of entry types."""
+    return {*map(type, x)} <= {int}
+
+
+def clear_denominators(x: Sequence[Rational],
+                       length: int | None = None) -> tuple[int, ...]:
     """Positive rescale to integers, the one exact-input gate.
 
     Callers ask only what a positive rescale keeps: a direction, a rank,
-    membership in a cone or the cone a generator spans.  Only ``int``
-    and ``Fraction`` entries are exact: floats, bools and strings are
-    rejected, not converted.
+    membership in a cone or the cone a generator spans.  Only exact
+    integers and ``Fraction`` entries are exact: floats, bools and
+    strings are rejected, not converted.  Given ``length``, a vector of
+    another length is rejected first.
     """
-    if all(type(c) is int for c in x):  # bools are not exactly int
+    if length is not None and len(x) != length:
+        raise ValueError(f"vector has dimension {len(x)}, expected {length}")
+    if all_int(x):
         return tuple(x)
     for c in x:
-        if type(c) not in (int, Fraction):
+        if not is_int(c) and type(c) is not Fraction:
             raise ValueError(
                 f"coordinates must be int or Fraction, got {type(c).__name__} {c!r}")
     scale = math.lcm(*(c.denominator for c in x))
     return tuple(c.numerator * (scale // c.denominator) for c in x)
+
+
+def integer_vector(x: Sequence[int], length: int | None = None) -> tuple[int, ...]:
+    """``x`` as a tuple, with every entry an exact integer (a
+    ``Fraction`` is refused even when its denominator is 1) and, given
+    ``length``, ``clear_denominators``'s length check."""
+    for c in x:
+        if not is_int(c):
+            raise ValueError(f"expected integer entries, got {c!r}")
+    return clear_denominators(x, length)
 
 
 def primitive(vector: Sequence[Rational]) -> tuple[int, ...]:
@@ -51,15 +80,15 @@ def primitive(vector: Sequence[Rational]) -> tuple[int, ...]:
     """
     if not any(vector):
         raise ValueError("zero vector has no primitive form")
-    ints = vector if all(type(c) is int for c in vector) else clear_denominators(vector)
+    ints = vector if all_int(vector) else clear_denominators(vector)
     g = math.gcd(*ints)
     return tuple(ints) if g == 1 else tuple(c // g for c in ints)
 
 
 def is_primitive(vector: Sequence[Rational]) -> bool:
     """Whether ``vector`` is nonzero and equals its ``primitive`` form.
-    An all-``int`` vector (bools excluded) needs only its gcd."""
-    if {*map(type, vector)} <= {int}:
+    A vector of exact integers needs only its gcd."""
+    if all_int(vector):
         return math.gcd(*vector) == 1
     return any(vector) and tuple(vector) == primitive(vector)
 
@@ -102,14 +131,9 @@ def integer_rref(rows: Sequence[Sequence[int]],
 
 def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
     """Rank over the rationals via exact fraction-free elimination."""
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return 0
-    ncols = len(vecs[0])
-    for v in vecs:
-        if len(v) != ncols:
-            raise ValueError(f"dimension mismatch: {len(v)} vs {ncols}")
-    return len(integer_rref([primitive(v) for v in vecs if any(v)], ncols)[1])
+    vecs = list(vectors)
+    ncols = len(vecs[0]) if vecs else 0
+    return len(integer_rref([clear_denominators(v, ncols) for v in vecs], ncols)[1])
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...] | None:

@@ -10,8 +10,7 @@ from edgecone import (ComponentTag, CoordinateTag, EnumerationGateError,
                       fm_membership, full_representation,
                       independent_set_halfspace, independent_sets, is_independent,
                       membership, neighbor_set, parse_graph, rational_rank)
-from edgecone.cone import (SENSE_GE, SENSE_LE, Halfspace, Hyperplane,
-                           component_equation)
+from edgecone.cone import SENSE_GE, SENSE_LE, Halfspace, Hyperplane
 from battery import (all_graphs, bipartite_battery, build, complete_bipartite,
                      connected_graphs_upto, cycle, neighbor_halfspace, path,
                      random_connected, spider, star, standard_battery)
@@ -53,13 +52,6 @@ def test_coordinate_halfspace_rejects_out_of_range_vertices():
     for vertex in (-1, 2):
         with pytest.raises(ValueError, match=f"vertex index out of range: {vertex}"):
             coordinate_halfspace(SINGLE, vertex)
-
-
-def test_component_equation_requires_a_bipartite_component():
-    g = parse_graph("a b\nb c\nc a\nx y")
-    with pytest.raises(ValueError, match="component 0 is not bipartite"):
-        component_equation(g, 0)
-    assert component_equation(g, 1) == Hyperplane((0, 0, 0, 1, -1), ComponentTag(1))
 
 
 def test_independent_set_halfspace_normal():
@@ -110,6 +102,9 @@ def test_affine_hull():
     # isolated vertex contributes x = 0
     g = parse_graph("a b\nc")
     assert [e.normal for e in affine_hull(g)] == [(1, -1, 0), (0, 0, 1)]
+    # a non-bipartite component keeps its index in the tags that follow
+    g = parse_graph("a b\nb c\nc a\nx y")
+    assert affine_hull(g) == (Hyperplane((0, 0, 0, 1, -1), ComponentTag(1)),)
 
 
 def test_full_representation_single_edge():

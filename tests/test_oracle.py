@@ -221,13 +221,13 @@ def test_facet_data_equals_the_span_basis_route():
         g for g in seeded if len(g.edges) <= oracle.ORACLE_MAX_GENERATORS)
     sets = [edge_vectors(g) for g in graphs] + list(HAND_MADE_GENERATORS.values())
     for raw in sets:
-        gens = oracle._as_int_tuples(raw)
+        gens = oracle._intake(raw)
         assert oracle._facet_data(gens) == span_basis_facet_data(gens), raw
 
 
 def test_facet_data_of_hand_made_cones():
     def data(name):
-        return oracle._facet_data(oracle._as_int_tuples(HAND_MADE_GENERATORS[name]))
+        return oracle._facet_data(oracle._intake(HAND_MADE_GENERATORS[name]))
     # a ray's only proper face is its apex, which counts as no facet
     assert data("ray plus zero") == () and data("all zero") == ()
     assert data("half-plane") == (((0, 1), (0, 1)),)
