@@ -54,6 +54,16 @@ def test_coordinate_halfspace_rejects_out_of_range_vertices():
             coordinate_halfspace(SINGLE, vertex)
 
 
+def test_component_equation_requires_a_bipartite_component():
+    # only bipartite components get a balance equation, and a component
+    # after a non-bipartite one keeps its own index in the tag
+    g = parse_graph("a b\nb c\nc a\nx y")
+    assert g.bipartitions[0] is None
+    assert affine_hull(g) == (Hyperplane((0, 0, 0, 1, -1), ComponentTag(1)),)
+    g = parse_graph("a b\nb c\nc a\nx y\np q\nq r\nr p")
+    assert affine_hull(g) == (Hyperplane((0, 0, 0, 1, -1, 0, 0, 0), ComponentTag(1)),)
+
+
 def test_independent_set_halfspace_normal():
     h = independent_set_halfspace(K13, [0, 1])
     assert h.plane.normal == (1, 1, 0, -1)
@@ -102,9 +112,6 @@ def test_affine_hull():
     # isolated vertex contributes x = 0
     g = parse_graph("a b\nc")
     assert [e.normal for e in affine_hull(g)] == [(1, -1, 0), (0, 0, 1)]
-    # a non-bipartite component keeps its index in the tags that follow
-    g = parse_graph("a b\nb c\nc a\nx y")
-    assert affine_hull(g) == (Hyperplane((0, 0, 0, 1, -1), ComponentTag(1)),)
 
 
 def test_full_representation_single_edge():
