@@ -7,7 +7,9 @@ neighbor set of ``A``; the affine hull contributes one balance equation
 per bipartite component.  This module builds those constraint systems
 and the one flow network that membership, decomposition and matching
 route on: the bipartite double cover, halved on bipartite components.
-Dimensions come from graph combinatorics; elimination is oracle-only.
+A graph builds that network's arcs once, on its first route, and keeps
+them; each call fills in only the capacities of its point.  Dimensions
+come from graph combinatorics; elimination is oracle-only.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ class _MaxFlow:
 
     Arc ``k`` of ``arcs``, a ``(tail, head, capacity)`` triple, becomes
     residual arc ``2k`` with its reverse at ``2k + 1``; after ``run``,
-    ``cap[2k + 1]`` is the flow it carries.
+    ``cap[2k + 1]`` is the flow it carries.  ``adj`` (the residual arcs
+    leaving each node) and ``to`` (each residual arc's head) are only
+    read, so flows made by ``on`` can share them.
     """
 
     def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]):
@@ -212,6 +216,15 @@ class _MaxFlow:
             cap += (capacity, 0)
         self.adj, self.to, self.cap = adj, to, cap
         self.level: list[int] = []
+
+    @classmethod
+    def on(cls, adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int]) -> _MaxFlow:
+        """A flow on the residual arcs ``adj`` and ``to`` of an earlier
+        ``_MaxFlow``, with ``cap``, the capacity of each residual arc, as
+        its own."""
+        flow = cls.__new__(cls)
+        flow.adj, flow.to, flow.cap, flow.level = adj, to, cap, []
+        return flow
 
     def run(self, source: int, sink: int) -> int:
         adj, to, cap = self.adj, self.to, self.cap
@@ -291,6 +304,34 @@ class _MaxFlow:
         return seen
 
 
+def _network(g: Graph) -> tuple:
+    """The part of ``_route``'s flow network that no point changes,
+    which ``Graph._flow_network`` builds once per graph: ``(side2,
+    left, right, edge_arcs, adj, to)``, immutable throughout.
+
+    Nodes ``v`` and ``v'`` are ``v`` and ``n + v``, the source ``2n``
+    and the sink ``2n + 1``.  A vertex on side 2 of a bipartite
+    component has no left node, one on side 1 no right node.  The
+    ``edge_arcs`` arcs ``v -> w'`` come first, in edge order, then
+    ``source -> v`` per ``left`` vertex and ``v' -> sink`` per ``right``
+    vertex; ``adj`` and ``to`` are their residual arcs in ``_MaxFlow``'s
+    numbering.
+    """
+    n = g.vertex_count
+    source, sink = 2 * n, 2 * n + 1
+    side1 = {v for sides in g.bipartitions if sides for v in sides[0]}
+    side2 = frozenset(v for sides in g.bipartitions if sides for v in sides[1])
+    left = tuple(v for v in range(n) if v not in side2)
+    right = tuple(v for v in range(n) if v not in side1)
+    arcs = [(u, n + w, 0) for i, j in g.edges
+            for u, w in ((i, j), (j, i)) if u not in side2]
+    edge_arcs = len(arcs)
+    arcs += [(source, v, 0) for v in left]
+    arcs += [(n + v, sink, 0) for v in right]
+    layout = _MaxFlow(2 * n + 2, arcs)
+    return side2, left, right, edge_arcs, tuple(map(tuple, layout.adj)), tuple(layout.to)
+
+
 def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     """The flows on the edge arcs of a maximum flow that routes the
     integer ``point``, or the halfspace it violates: the lowest-index
@@ -303,6 +344,10 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     ``vw``.  A bipartite component's cover is a copy from side 1 to side
     2' plus its exact reverse, so only the copy is built: on a bipartite
     graph edge arc ``k``, and entry ``k`` of the result, is edge ``k``.
+    The arcs come from the graph (``_network``, built on its first
+    route); a call sets only their capacities: ``point[v]`` on the
+    source and sink arcs, and the coordinate sum, which no flow on one
+    arc exceeds, on each edge arc.
     A short flow leaves reachable left vertices ``S`` with
     ``point(S) > point(N(S))`` (the reverse copy carries the reversed
     flow, so side-2 ``w`` is in ``S`` iff ``w'`` reaches the sink);
@@ -316,18 +361,11 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
         if c < 0:
             return coordinate_halfspace(g, v)
     n = g.vertex_count
-    total = sum(point)
     source, sink = 2 * n, 2 * n + 1
-    side1 = {v for sides in g.bipartitions if sides for v in sides[0]}
-    side2 = {v for sides in g.bipartitions if sides for v in sides[1]}
-    left = [v for v in range(n) if v not in side2]
-    right = [v for v in range(n) if v not in side1]
-    arcs = [(u, n + w, total) for i, j in g.edges
-            for u, w in ((i, j), (j, i)) if u not in side2]
-    edge_arcs = len(arcs)
-    arcs += [(source, v, point[v]) for v in left]
-    arcs += [(n + v, sink, point[v]) for v in right]
-    flow = _MaxFlow(2 * n + 2, arcs)
+    side2, left, right, edge_arcs, adj, to = g._flow_network
+    cap = [sum(point), 0] * edge_arcs + [0] * (2 * (len(left) + len(right)))
+    cap[2 * edge_arcs::2] = [point[v] for v in left + right]
+    flow = _MaxFlow.on(adj, to, cap)
     value = flow.run(source, sink)
     if value == sum(point[v] for v in left) == sum(point[v] for v in right):
         return flow.cap[1:2 * edge_arcs:2]

@@ -2,16 +2,19 @@
 
 Vertices are identified by their position in ``Graph.vertices`` (the
 first-appearance order of the input document); every vector in the rest
-of the package is indexed the same way.  Graphs are immutable and all
+of the package is indexed the same way.  Graphs are immutable.  Their
 derived structure (neighbor tuples, adjacency bitmasks, components and
-bipartitions) is computed eagerly, so instances are safe to share
-between threads.  A vertex set is handled as a bitmask over vertex
-indices wherever it is searched or combined.
+bipartitions) is computed eagerly, except the arcs of the flow network
+that membership, decomposition and matching route on, which a graph
+builds on its first route and then only reads.  So instances are safe
+to share between threads.  A vertex set is handled as a bitmask over
+vertex indices wherever it is searched or combined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +39,10 @@ class Graph:
     partitions the vertex indices; ``bipartitions[k]`` is ``(side1, side2)``
     for a bipartite component (``side1`` contains the component's smallest
     index) and ``None`` for a non-bipartite one.  An isolated vertex is a
-    bipartite component with an empty second side.
+    bipartite component with an empty second side.  ``_flow_network``,
+    the point-independent part of the flow network (``cone._network``),
+    is built on first use and is read-only; it takes no part in
+    equality, hashing, ``repr`` or pickling.
     """
 
     vertices: tuple[str, ...]
@@ -99,6 +105,14 @@ class Graph:
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "bipartitions", tuple(bipartitions))
+
+    @cached_property
+    def _flow_network(self):
+        from .cone import _network  # cone builds on this module
+        return _network(self)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_flow_network"}
 
     @property
     def vertex_count(self) -> int:

@@ -277,6 +277,8 @@ def cross_validate(g: Graph) -> ValidationReport:
     generators are cleared and their Fourier-Motzkin rows fetched once;
     the oracle's facets and every point's verdict come from those rows,
     so a row missing from the projection shows as a facet mismatch.
+    Each point is cleared once, and both paths judge the same integer
+    point: a positive rescale keeps membership.
     """
     gens = _intake(edge_vectors(g), g.vertex_count)
     checks = []
@@ -297,8 +299,9 @@ def cross_validate(g: Graph) -> ValidationReport:
     tested = 0
     for point in _point_battery(g, _COMBINATIONS, _RANDOM_POINTS, _SEED):
         tested += 1
-        lib = membership(g, point).is_member
-        orc = _satisfies(rows, clear_denominators(point))
+        cleared = clear_denominators(point)
+        lib = membership(g, cleared).is_member
+        orc = _satisfies(rows, cleared)
         if lib != orc:
             disagreement = (point, lib, orc)
             break

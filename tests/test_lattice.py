@@ -1,13 +1,22 @@
+import importlib
+import pickle
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
-from edgecone import (GraphRequirementError, has_perfect_matching,
+from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
                       integer_decompose, membership, neighbor_set,
                       parity_check, parse_graph)
 from edgecone.cone import _MaxFlow
-from battery import (complete_bipartite, cycle, kuhn_maximum_matching,
-                     path, random_connected_bipartite, star)
+from battery import (bipartite_battery, build, complete_bipartite,
+                     connected_graphs_upto, cycle, disjoint_union,
+                     kuhn_maximum_matching, path, random_connected_bipartite,
+                     standard_battery, star)
+
+cone = importlib.import_module("edgecone.cone")
 
 SINGLE = parse_graph("a b")
 K13 = star(3)
@@ -163,24 +172,123 @@ def test_decomposition_is_deterministic():
 
 def test_each_call_runs_one_flow(monkeypatch):
     # the sides of K13 and its all-ones vector are unbalanced; path(4) at
-    # (1, 0, 0, 1) and the graph below are balanced non-members
+    # (1, 0, 0, 1) and the graph below are balanced non-members.  The
+    # graphs are new to this test and each is called on twice over, so
+    # its network is built on its first route and never again.
+    k13, p4, c6 = star(3), path(4), cycle(6)
     lopsided = parse_graph("a x\nb x\nc x\nc y\nc z")
-    calls = [(integer_decompose, (K13, (1, 1, 1, 1)), False),
-             (has_perfect_matching, (K13,), False),
-             (integer_decompose, (path(4), (1, 0, 0, 1)), False),
+    calls = [(integer_decompose, (k13, (1, 1, 1, 1)), False),
+             (has_perfect_matching, (k13,), False),
+             (integer_decompose, (p4, (1, 0, 0, 1)), False),
              (has_perfect_matching, (lopsided,), False),
-             (integer_decompose, (cycle(6), (2, 1, 1, 2, 1, 1)), True),
-             (has_perfect_matching, (cycle(6),), True),
-             (membership, (K13, (1, 1, 1, 1)), False)]
-    runs = []
-    run = _MaxFlow.run
+             (integer_decompose, (c6, (2, 1, 1, 2, 1, 1)), True),
+             (has_perfect_matching, (c6,), True),
+             (membership, (k13, (1, 1, 1, 1)), False)]
+    runs, builds = [], []
+    run, network = _MaxFlow.run, cone._network
 
     def counted(flow, source, sink):
         runs.append((source, sink))
         return run(flow, source, sink)
 
+    def built(g):
+        builds.append(g)
+        return network(g)
+
     monkeypatch.setattr(_MaxFlow, "run", counted)
-    for call, args, expected in calls:
-        runs.clear()
-        assert bool(call(*args)) == expected
-        assert len(runs) == 1, call.__name__
+    monkeypatch.setattr(cone, "_network", built)
+    for _ in range(2):
+        for call, args, expected in calls:
+            runs.clear()
+            assert bool(call(*args)) == expected
+            assert len(runs) == 1, call.__name__
+    assert sorted(map(id, builds)) == sorted(map(id, (k13, p4, lopsided, c6)))
+
+
+def test_routing_leaves_equality_hash_repr_and_pickle_alone():
+    g = cycle(6)
+    b = (2, 1, 1, 2, 1, 1)
+    before = (hash(g), repr(g), pickle.dumps(g))
+    decomposed = integer_decompose(g, b)
+    assert decomposed and has_perfect_matching(g)
+    assert not membership(g, (1, 0, 0, 0, 0, 0))
+    assert g == Graph(g.vertices, g.edges)
+    assert (hash(g), repr(g), pickle.dumps(g)) == before
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and (hash(copy), repr(copy)) == before[:2]
+    assert integer_decompose(copy, b) == decomposed
+
+
+def _reuse_graphs():
+    """Both batteries plus seeded unions of bipartite and non-bipartite
+    components, single edges and isolated vertices."""
+    small = connected_graphs_upto(4)
+    kinds = ([g for g in small if g.vertex_count > 2 and g.is_bipartite()],
+             [g for g in small if not g.is_bipartite()], [path(2)], [build(1, [])])
+    rng = random.Random(19)
+    unions = []
+    while len(unions) < 200:
+        parts = [rng.choice(rng.choice(kinds)) for _ in range(rng.randint(2, 4))]
+        n = sum(g.vertex_count for g in parts)
+        if n <= 10:
+            unions.append(disjoint_union(parts, rng.sample(range(n), n)))
+    return standard_battery() + bipartite_battery() + tuple(unions)
+
+
+def test_a_reused_graph_answers_as_a_fresh_one():
+    # one Graph object takes a mixed run of members, non-members that
+    # fail at the first phase (a lone heavy coordinate) or only after
+    # most of the flow (a member plus one unit), and negative points;
+    # each answer must equal the same call on a graph built for it alone
+    rng = random.Random(23)
+    for g in _reuse_graphs():
+        n = g.vertex_count
+        member = [0] * n
+        for i, j in g.edges:
+            count = rng.randint(0, 3)
+            member[i] += count
+            member[j] += count
+        late = member[:]
+        late[rng.randrange(n)] += 1
+        early = [0] * n
+        early[rng.randrange(n)] = 5
+        negative = member[:]
+        negative[rng.randrange(n)] = -1
+        points = [tuple(p) for p in (member, late, early, negative, (1,) * n)]
+        calls = [(membership, p) for p in points]
+        calls.append((membership, tuple(Fraction(c, 2) for c in member)))
+        if g.is_bipartite():
+            calls += [(integer_decompose, p) for p in points]
+            calls += [(has_perfect_matching,)] * 2
+        rng.shuffle(calls)
+        for call, *args in calls:
+            assert call(g, *args) == call(Graph(g.vertices, g.edges), *args), \
+                (g.edges, call.__name__, args)
+
+
+def test_threads_sharing_a_graph_get_the_answers_of_fresh_graphs():
+    g = disjoint_union([cycle(6), cycle(5), path(3)])
+    rng = random.Random(29)
+    points = [tuple(rng.randint(-1, 3) for _ in range(g.vertex_count))
+              for _ in range(40)] + [(1,) * g.vertex_count]
+    expected = [membership(Graph(g.vertices, g.edges), p) for p in points]
+    failures = []
+
+    def work():
+        for _ in range(5):
+            for p, answer in zip(points, expected):
+                if membership(g, p) != answer:
+                    failures.append(p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
