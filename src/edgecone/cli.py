@@ -19,7 +19,7 @@ from .cone import (cone_dimension, coordinate_halfspace, full_representation,
 from .errors import (EdgeListParseError, EnumerationGateError,
                      GraphRequirementError)
 from .facets import canonical_representation, face_dimension, facets
-from .graph import DEFAULT_MAX_VERTICES, Graph, bipartite_component_count, parse_graph
+from .graph import DEFAULT_MAX_VERTICES, bipartite_component_count, parse_graph
 from .lattice import has_perfect_matching, integer_decompose
 from .oracle import cross_validate
 from .serialize import (decomposition_doc, facets_doc, graph_header,
@@ -66,10 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
-
-
 def _plain_lines(doc, prefix="") -> list[str]:
     """A dict or list, one scalar per line: ``key: value`` or ``- value``,
     and a nested dict or list under its ``key:`` or ``-`` line, indented."""
@@ -100,7 +96,7 @@ def _summary(text: str):
 
 
 def _run_command(args) -> tuple[dict, int, str]:
-    g = _load_graph(args.path)
+    g = parse_graph(Path(args.path).read_text(encoding="utf-8"))
     doc = {"command": args.command}
     doc.update(graph_header(g))
     exit_code = 0

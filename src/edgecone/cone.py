@@ -7,9 +7,10 @@ neighbor set of ``A``; the affine hull contributes one balance equation
 per bipartite component.  This module builds those constraint systems
 and the one flow network that membership, decomposition and matching
 route on: the bipartite double cover, halved on bipartite components.
-A graph builds that network's arcs once, on its first route, and keeps
-them; each call fills in only the capacities of its point.  Dimensions
-come from graph combinatorics; elimination is oracle-only.
+A graph lays out that network's residual arcs once, on its first route,
+and keeps them; each call fills in a capacity list for its point and
+runs one maximum flow on those plain arrays.  Dimensions come from
+graph combinatorics; elimination is oracle-only.
 """
 
 from __future__ import annotations
@@ -187,121 +188,105 @@ class MembershipResult:
         return self.is_member
 
 
-class _MaxFlow:
+def _layout(nodes: int, arcs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """The residual arcs of ``(tail, head)`` arcs on ``nodes`` nodes:
+    ``(adj, to)``, the residual arcs leaving each node and each residual
+    arc's head.  Arc ``k`` is residual arc ``2k`` and its reverse is
+    ``2k + 1``, so ``cap[2k + 1]`` is the flow arc ``k`` carries."""
+    adj: list[list[int]] = [[] for _ in range(nodes)]
+    to: list[int] = []
+    for tail, head in arcs:
+        adj[tail].append(len(to))
+        adj[head].append(len(to) + 1)
+        to += (head, tail)
+    return tuple(map(tuple, adj)), tuple(to)
+
+
+def _max_flow(adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int],
+              source: int, sink: int) -> tuple[int, list[int]]:
     """Dinic's maximum flow on integer capacities (Dinic 1970).
+
+    Saturates ``cap``, the capacity of each residual arc of ``_layout``,
+    in place and returns the flow value and the last phase's
+    breadth-first levels: ``level[v] >= 0`` iff the residual network
+    reaches ``v`` from the source, which is the source side of the
+    minimal minimum cut, the same for every maximum flow.
 
     Each phase labels the residual network with breadth-first levels,
     then saturates it with a blocking flow: an iterative depth-first
     search along level-increasing arcs that keeps a current-arc pointer
     per node, so no arc is rescanned after it stops leading to the sink.
     Unit networks such as the all-ones double cover take O(m sqrt(n))
-    time (Even and Tarjan 1975).  Arcs are scanned in insertion order,
-    so results are deterministic.
-
-    Arc ``k`` of ``arcs``, a ``(tail, head, capacity)`` triple, becomes
-    residual arc ``2k`` with its reverse at ``2k + 1``; after ``run``,
-    ``cap[2k + 1]`` is the flow it carries.  ``adj`` (the residual arcs
-    leaving each node) and ``to`` (each residual arc's head) are only
-    read, so flows made by ``on`` can share them.
+    time (Even and Tarjan 1975).  Arcs are scanned in layout order, so
+    results are deterministic.
     """
-
-    def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]):
-        adj: list[list[int]] = [[] for _ in range(nodes)]
-        to: list[int] = []
-        cap: list[int] = []
-        for tail, head, capacity in arcs:
-            adj[tail].append(len(to))
-            adj[head].append(len(to) + 1)
-            to += (head, tail)
-            cap += (capacity, 0)
-        self.adj, self.to, self.cap = adj, to, cap
-        self.level: list[int] = []
-
-    @classmethod
-    def on(cls, adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int]) -> _MaxFlow:
-        """A flow on the residual arcs ``adj`` and ``to`` of an earlier
-        ``_MaxFlow``, with ``cap``, the capacity of each residual arc, as
-        its own."""
-        flow = cls.__new__(cls)
-        flow.adj, flow.to, flow.cap, flow.level = adj, to, cap, []
-        return flow
-
-    def run(self, source: int, sink: int) -> int:
-        adj, to, cap = self.adj, self.to, self.cap
-        total = 0
-        while True:
-            level = [-1] * len(adj)
-            level[source] = 0
-            queue = [source]
-            for u in queue:
-                depth = level[u] + 1
-                for arc in adj[u]:
-                    v = to[arc]
-                    if cap[arc] and level[v] < 0:
-                        level[v] = depth
-                        queue.append(v)
-                if level[sink] >= 0:
-                    break
-            self.level = level
-            if level[sink] < 0:
-                return total
-            current = [0] * len(adj)
-            path: list[int] = []
-            u = source
-            while True:
-                if u == sink:
-                    pushed = min([cap[arc] for arc in path])
-                    for arc in path:
-                        cap[arc] -= pushed
-                        cap[arc ^ 1] += pushed
-                    total += pushed
-                    # resume from the tail of the first saturated arc
-                    cut = 0
-                    while cap[path[cut]]:
-                        cut += 1
-                    u = to[path[cut] ^ 1]
-                    del path[cut:]
-                    continue
-                arcs = adj[u]
-                depth = level[u] + 1
-                k, end = current[u], len(arcs)
-                while k < end:
-                    arc = arcs[k]
-                    if cap[arc] and level[to[arc]] == depth:
-                        break
-                    k += 1
-                current[u] = k
-                if k < end:
-                    path.append(arc)
-                    u = to[arc]
-                elif path:
-                    # dead end: retreat and skip the arc that led here
-                    u = to[path.pop() ^ 1]
-                    current[u] += 1
-                else:
-                    break
-
-    def reachable(self) -> list[bool]:
-        """After ``run``: the nodes the residual network reaches from the
-        source, labeled by the last phase's failed search.  That is the
-        source side of the minimal minimum cut, the same for every
-        maximum flow."""
-        return [depth >= 0 for depth in self.level]
-
-    def reaching(self, sink: int) -> list[bool]:
-        """After ``run``: the nodes that reach ``sink`` in the residual
-        network, outside the source side of the maximal minimum cut."""
-        adj, to, cap = self.adj, self.to, self.cap
-        seen = [False] * len(adj)
-        seen[sink] = True
-        queue = [sink]
+    total = 0
+    while True:
+        level = [-1] * len(adj)
+        level[source] = 0
+        queue = [source]
         for u in queue:
+            depth = level[u] + 1
             for arc in adj[u]:
                 v = to[arc]
-                if cap[arc ^ 1] and not seen[v]:
-                    seen[v] = True
+                if cap[arc] and level[v] < 0:
+                    level[v] = depth
                     queue.append(v)
-        return seen
+            if level[sink] >= 0:
+                break
+        if level[sink] < 0:
+            return total, level
+        current = [0] * len(adj)
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = min([cap[arc] for arc in path])
+                for arc in path:
+                    cap[arc] -= pushed
+                    cap[arc ^ 1] += pushed
+                total += pushed
+                # resume from the tail of the first saturated arc
+                cut = 0
+                while cap[path[cut]]:
+                    cut += 1
+                u = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = adj[u]
+            depth = level[u] + 1
+            k, end = current[u], len(arcs)
+            while k < end:
+                arc = arcs[k]
+                if cap[arc] and level[to[arc]] == depth:
+                    break
+                k += 1
+            current[u] = k
+            if k < end:
+                path.append(arc)
+                u = to[arc]
+            elif path:
+                # dead end: retreat and skip the arc that led here
+                u = to[path.pop() ^ 1]
+                current[u] += 1
+            else:
+                break
+
+
+def _reaching(adj: Sequence[Sequence[int]], to: Sequence[int], cap: Sequence[int],
+              sink: int) -> list[bool]:
+    """After ``_max_flow``: the nodes that reach ``sink`` in the residual
+    network, outside the source side of the maximal minimum cut."""
+    seen = [False] * len(adj)
+    seen[sink] = True
+    queue = [sink]
+    for u in queue:
+        for arc in adj[u]:
+            v = to[arc]
+            if cap[arc ^ 1] and not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
 
 
 def _network(g: Graph) -> tuple:
@@ -314,8 +299,7 @@ def _network(g: Graph) -> tuple:
     component has no left node, one on side 1 no right node.  The
     ``edge_arcs`` arcs ``v -> w'`` come first, in edge order, then
     ``source -> v`` per ``left`` vertex and ``v' -> sink`` per ``right``
-    vertex; ``adj`` and ``to`` are their residual arcs in ``_MaxFlow``'s
-    numbering.
+    vertex; ``adj`` and ``to`` are their ``_layout``.
     """
     n = g.vertex_count
     source, sink = 2 * n, 2 * n + 1
@@ -323,13 +307,12 @@ def _network(g: Graph) -> tuple:
     side2 = frozenset(v for sides in g.bipartitions if sides for v in sides[1])
     left = tuple(v for v in range(n) if v not in side2)
     right = tuple(v for v in range(n) if v not in side1)
-    arcs = [(u, n + w, 0) for i, j in g.edges
+    arcs = [(u, n + w) for i, j in g.edges
             for u, w in ((i, j), (j, i)) if u not in side2]
     edge_arcs = len(arcs)
-    arcs += [(source, v, 0) for v in left]
-    arcs += [(n + v, sink, 0) for v in right]
-    layout = _MaxFlow(2 * n + 2, arcs)
-    return side2, left, right, edge_arcs, tuple(map(tuple, layout.adj)), tuple(layout.to)
+    arcs += [(source, v) for v in left]
+    arcs += [(n + v, sink) for v in right]
+    return (side2, left, right, edge_arcs) + _layout(2 * n + 2, arcs)
 
 
 def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
@@ -345,9 +328,10 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     2' plus its exact reverse, so only the copy is built: on a bipartite
     graph edge arc ``k``, and entry ``k`` of the result, is edge ``k``.
     The arcs come from the graph (``_network``, built on its first
-    route); a call sets only their capacities: ``point[v]`` on the
+    route); a call fills in only its own ``cap``: ``point[v]`` on the
     source and sink arcs, and the coordinate sum, which no flow on one
-    arc exceeds, on each edge arc.
+    arc exceeds, on each edge arc.  ``_max_flow`` saturates ``cap``, so
+    its odd entries are then the flows.
     A short flow leaves reachable left vertices ``S`` with
     ``point(S) > point(N(S))`` (the reverse copy carries the reversed
     flow, so side-2 ``w`` is in ``S`` iff ``w'`` reaches the sink);
@@ -365,13 +349,12 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     side2, left, right, edge_arcs, adj, to = g._flow_network
     cap = [sum(point), 0] * edge_arcs + [0] * (2 * (len(left) + len(right)))
     cap[2 * edge_arcs::2] = [point[v] for v in left + right]
-    flow = _MaxFlow.on(adj, to, cap)
-    value = flow.run(source, sink)
+    value, level = _max_flow(adj, to, cap, source, sink)
     if value == sum(point[v] for v in left) == sum(point[v] for v in right):
-        return flow.cap[1:2 * edge_arcs:2]
-    reached = flow.reachable()
+        return cap[1:2 * edge_arcs:2]
+    reached = [depth >= 0 for depth in level]
     if side2:
-        back = flow.reaching(sink)
+        back = _reaching(adj, to, cap, sink)
         reached = [back[n + v] if v in side2 else reached[v] for v in range(n)]
     neighbors = g.neighbors
     members = [v for v in range(n)

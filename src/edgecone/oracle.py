@@ -201,8 +201,7 @@ def _projection_rows(generators: tuple[tuple[int, ...], ...],
                     f"Fourier-Motzkin blowup: {built} rows built while "
                     f"eliminating multiplier {col + 1} of {len(free)}")
             combo = [prow[col] * b - nrow[col] * a for a, b in zip(prow, nrow)]
-            if not any(combo):
-                continue
+            # nonzero: kept rows r and -r make an equation, and equations have no t part
             row = primitive(combo)
             if not any(row[:len(free)]):
                 outputs.add(row[len(free):])

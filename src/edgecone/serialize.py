@@ -90,8 +90,7 @@ def hyperplane_doc(plane: Hyperplane, g: Graph) -> dict:
 
 
 def halfspace_doc(h: Halfspace, g: Graph) -> dict:
-    return {"normal": list(h.plane.normal), "sense": h.sense,
-            "tag": tag_doc(h.plane.tag, g)}
+    return {**hyperplane_doc(h.plane, g), "sense": h.sense}
 
 
 def graph_header(g: Graph) -> dict:

@@ -1,8 +1,14 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import edgecone
 from edgecone.cli import main
 
 TRIANGLE = "a b\nb c\nc a\n"
@@ -282,3 +288,38 @@ def test_plain_format_nests_lists_and_dicts(graph_file, capsys):
         "command: matching\nvertices:\n  - a\n  - b\nedges:\n  -\n    - a\n"
         "    - b\nhas_perfect_matching: True\nmatching:\n  -\n    - a\n"
         "    - b\nviolator: None\n")
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_summary_goes_to_a_terminal_only(graph_file, capsys, monkeypatch):
+    # a library that finds no facets fails the oracle's facet check
+    monkeypatch.setattr("edgecone.oracle.facets", lambda g: ())
+    path = graph_file(TRIANGLE)
+    cases = [(("dim", path), "dimension 3"),
+             (("member", path, "3,0,0"), "not a member"),
+             (("validate", path), "checks FAILED"),
+             (("dim", path, "--oracle"), "dimension 3 (cross-validation FAILED)")]
+    for argv, summary in cases:
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        terminal = Terminal()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stderr", terminal)
+            assert run(capsys, *argv)[:2] == (code, out)
+        assert terminal.getvalue() == summary + "\n"
+
+
+def test_module_entry_point_matches_main(graph_file, capsys):
+    src = str(Path(edgecone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (("dim", graph_file(TRIANGLE)),
+                 ("canonical", graph_file(TRIANGLE), "--format", "plain")):
+        code, out, _ = run(capsys, *argv)
+        done = subprocess.run([sys.executable, "-m", "edgecone.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (code, out)

@@ -2,12 +2,12 @@
 
 Every node subset holding the source but not the sink is a cut, so on
 at most 8 nodes the minimum cut value and the set of minimum cuts are
-found by brute force.  The engine's flow value must equal that minimum,
-its residual capacities must describe a feasible flow, the nodes it
-reports reachable must be the intersection of the source sides of all
-minimum cuts, and the nodes it reports reaching the sink must be those
-outside their union.  Examples are derandomized, so every run tests the
-same networks.
+found by brute force.  On each network's ``_layout``, the value
+``_max_flow`` returns must equal that minimum, the residual capacities
+it leaves must describe a feasible flow, the nodes its last levels
+reach must be the intersection of the source sides of all minimum cuts,
+and the nodes ``_reaching`` reports must be those outside their union.
+Examples are derandomized, so every run tests the same networks.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
-from edgecone.cone import _MaxFlow
+from edgecone.cone import _layout, _max_flow, _reaching
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                     database=None)
@@ -61,9 +61,10 @@ def cut_capacity(arcs, side) -> int:
 def test_flow_value_residuals_and_reachable_set(network):
     nodes, arcs = network
     source, sink = 0, nodes - 1
-    flow = _MaxFlow(nodes, arcs)
+    adj, to = _layout(nodes, [(u, v) for u, v, c in arcs])
+    cap = [x for u, v, c in arcs for x in (c, 0)]
     with time_limit(1):
-        value = flow.run(source, sink)
+        value, level = _max_flow(adj, to, cap, source, sink)
 
     inner = range(1, nodes - 1)
     cuts = [frozenset((source,) + chosen)
@@ -74,8 +75,8 @@ def test_flow_value_residuals_and_reachable_set(network):
 
     balance = [0] * nodes
     for k, (u, v, c) in enumerate(arcs):
-        sent = flow.cap[2 * k + 1]
-        assert 0 <= sent <= c and flow.cap[2 * k] == c - sent
+        sent = cap[2 * k + 1]
+        assert 0 <= sent <= c and cap[2 * k] == c - sent
         balance[u] -= sent
         balance[v] += sent
     assert balance[source] == -value and balance[sink] == value
@@ -84,5 +85,5 @@ def test_flow_value_residuals_and_reachable_set(network):
     minimum_cuts = [side for side in cuts if cut_capacity(arcs, side) == best]
     minimal = frozenset.intersection(*minimum_cuts)
     maximal = frozenset.union(*minimum_cuts)
-    assert [v in minimal for v in range(nodes)] == flow.reachable()
-    assert [v not in maximal for v in range(nodes)] == flow.reaching(sink)
+    assert [v in minimal for v in range(nodes)] == [depth >= 0 for depth in level]
+    assert [v not in maximal for v in range(nodes)] == _reaching(adj, to, cap, sink)

@@ -10,7 +10,6 @@ import pytest
 from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
                       integer_decompose, membership, neighbor_set,
                       parity_check, parse_graph)
-from edgecone.cone import _MaxFlow
 from battery import (bipartite_battery, build, complete_bipartite,
                      connected_graphs_upto, cycle, disjoint_union,
                      kuhn_maximum_matching, path, random_connected_bipartite,
@@ -185,17 +184,17 @@ def test_each_call_runs_one_flow(monkeypatch):
              (has_perfect_matching, (c6,), True),
              (membership, (k13, (1, 1, 1, 1)), False)]
     runs, builds = [], []
-    run, network = _MaxFlow.run, cone._network
+    run, network = cone._max_flow, cone._network
 
-    def counted(flow, source, sink):
+    def counted(adj, to, cap, source, sink):
         runs.append((source, sink))
-        return run(flow, source, sink)
+        return run(adj, to, cap, source, sink)
 
     def built(g):
         builds.append(g)
         return network(g)
 
-    monkeypatch.setattr(_MaxFlow, "run", counted)
+    monkeypatch.setattr(cone, "_max_flow", counted)
     monkeypatch.setattr(cone, "_network", built)
     for _ in range(2):
         for call, args, expected in calls:
