@@ -27,20 +27,20 @@ SENSE_GE = ">=0"
 SENSE_LE = "<=0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordinateTag:
     """Hyperplane of a single vanishing coordinate."""
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndependentSetTag:
     """Hyperplane equating an independent set's coordinate sum with its
     neighbor set's."""
     vertices: VertexSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentTag:
     """Affine-hull balance equation of one bipartite component."""
     component: int
@@ -49,10 +49,15 @@ class ComponentTag:
 Tag = Union[CoordinateTag, IndependentSetTag, ComponentTag, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperplane:
     """Primitive integer normal plus the combinatorial origin of the
-    hyperplane (``None`` for raw normals, e.g. oracle output)."""
+    hyperplane (``None`` for raw normals, e.g. oracle output).
+
+    The constructor checks that the normal is primitive.  Halfspaces the
+    library builds itself skip that check (``_trusted``): each of their
+    normals has an entry 1, so it is primitive by construction.
+    """
 
     normal: tuple[int, ...]
     tag: Tag = None
@@ -62,12 +67,14 @@ class Hyperplane:
             raise ValueError(f"normal must be primitive and nonzero: {self.normal}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halfspace:
     """Closed halfspace ``<normal, x> >= 0`` or ``<= 0``.
 
     Coordinate halfspaces carry sense ``>=0``, independent-set ones
-    ``<=0`` (the cone always lies on that side).
+    ``<=0`` (the cone always lies on that side).  The constructor checks
+    the sense against the tag; halfspaces the library builds itself skip
+    that check too, as their builders fix the sense by the tag.
     """
 
     plane: Hyperplane
@@ -104,6 +111,20 @@ class ConeRepresentation:
                 and all(h.margin(point) >= 0 for h in self.halfspaces))
 
 
+def _trusted(normal: tuple[int, ...], tag: Tag, sense: str) -> Halfspace:
+    """``Halfspace(Hyperplane(normal, tag), sense)`` without either
+    ``__post_init__``, for the library's own builders: their normals
+    have an entry 1, so are primitive, and ``sense`` is the one ``tag``
+    fixes (``>=0`` for a coordinate, ``<=0`` for a set)."""
+    plane = object.__new__(Hyperplane)
+    object.__setattr__(plane, "normal", normal)
+    object.__setattr__(plane, "tag", tag)
+    half = object.__new__(Halfspace)
+    object.__setattr__(half, "plane", plane)
+    object.__setattr__(half, "sense", sense)
+    return half
+
+
 def coordinate_halfspace(g: Graph, vertex: int) -> Halfspace:
     n = g.vertex_count
     if not is_int(vertex):
@@ -111,7 +132,7 @@ def coordinate_halfspace(g: Graph, vertex: int) -> Halfspace:
     if not 0 <= vertex < n:
         raise ValueError(f"vertex index out of range: {vertex}")
     normal = (0,) * vertex + (1,) + (0,) * (n - vertex - 1)
-    return Halfspace(Hyperplane(normal, CoordinateTag(vertex)), SENSE_GE)
+    return _trusted(normal, CoordinateTag(vertex), SENSE_GE)
 
 
 def independent_set_halfspace(g: Graph, a: Iterable[int]) -> Halfspace:
@@ -133,7 +154,7 @@ def _set_halfspace(g: Graph, members: VertexSet) -> Halfspace:
             if normal[w] == 1:
                 raise ValueError(f"vertex set {members} is not independent")
             normal[w] = -1
-    return Halfspace(Hyperplane(tuple(normal), IndependentSetTag(members)), SENSE_LE)
+    return _trusted(tuple(normal), IndependentSetTag(members), SENSE_LE)
 
 
 def cone_dimension(g: Graph) -> int:
@@ -168,7 +189,7 @@ def full_representation(g: Graph,
     sets lexicographically.
     """
     coords = [coordinate_halfspace(g, v) for v in range(g.vertex_count)]
-    sets = [Halfspace(Hyperplane(normal, IndependentSetTag(members)), SENSE_LE)
+    sets = [_trusted(normal, IndependentSetTag(members), SENSE_LE)
             for members, normal in sorted(_independent_set_normals(g, max_vertices),
                                           key=itemgetter(0))]
     return ConeRepresentation(affine_hull(g), tuple(coords + sets), "full")

@@ -47,7 +47,7 @@ from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _members, _union,
                     check_gate, vertex_set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Facet:
     """A facet together with the edge indices spanning it."""
 

@@ -13,10 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
-                      IndependentSetTag, affine_hull, cone_dimension,
-                      coordinate_halfspace, edge_vectors, face_dimension,
-                      independent_set_halfspace, independent_sets,
-                      is_independent, neighbor_set)
+                      IndependentSetTag, affine_hull, canonical_representation,
+                      cone_dimension, coordinate_halfspace, edge_vectors,
+                      face_dimension, facets, full_representation,
+                      has_perfect_matching, independent_set_halfspace,
+                      independent_sets, integer_decompose, is_independent,
+                      membership, neighbor_set)
 from edgecone import oracle
 from edgecone.cone import SENSE_LE, Halfspace, Hyperplane
 from edgecone.rational import dot, integer_kernel, integer_rref, primitive
@@ -513,6 +515,43 @@ def neighbor_halfspace(g: Graph, a) -> Halfspace:
     for v in a:
         normal[v] = 1
     return Halfspace(Hyperplane(tuple(normal), IndependentSetTag(a)), SENSE_LE)
+
+
+def checked_rebuild(h: Halfspace) -> Halfspace:
+    """``h`` rebuilt through the checked constructors, which raise on a
+    normal that is not primitive or a sense that its tag rules out."""
+    return Halfspace(Hyperplane(h.plane.normal, h.plane.tag), h.sense)
+
+
+def library_halfspaces(g: Graph) -> list[tuple[str, Halfspace]]:
+    """The halfspaces the library builds on ``g`` without the
+    constructor checks, each with the function that returned it, those
+    of ``full_representation`` first: every halfspace of
+    ``full_representation``, ``facets`` and (on a connected bipartite
+    graph with an edge) ``canonical_representation``; the last vertex's
+    ``coordinate_halfspace`` and ``independent_set_halfspace``; and the
+    witnesses of ``membership`` on a negative, a lone positive and the
+    all-ones point, of ``integer_decompose`` on the lone positive one,
+    and of ``has_perfect_matching`` as its violator's halfspace."""
+    n = g.vertex_count
+    bipartite = g.is_bipartite()
+    out = [("full_representation", h) for h in full_representation(g).halfspaces]
+    out += [("facets", f.halfspace) for f in facets(g)]
+    if g.edges and bipartite and g.is_connected():
+        out += [("canonical_representation", h)
+                for h in canonical_representation(g).halfspaces]
+    if n:
+        lone = (0,) * (n - 1) + (1,)
+        out += [("coordinate_halfspace", coordinate_halfspace(g, n - 1)),
+                ("independent_set_halfspace", independent_set_halfspace(g, (n - 1,)))]
+        out += [("membership", membership(g, x).violated)
+                for x in ((-1,) + (0,) * (n - 1), lone, (1,) * n)]
+    if n and bipartite:
+        out.append(("integer_decompose", integer_decompose(g, lone).violated))
+        violator = has_perfect_matching(g).violator
+        if violator is not None:
+            out.append(("has_perfect_matching", independent_set_halfspace(g, violator)))
+    return [(source, h) for source, h in out if h is not None]
 
 
 def on_edges(g: Graph, h) -> tuple[int, ...]:

@@ -9,8 +9,9 @@ enumerations must agree too: the library's rank criterion, the
 brute-force oracle and, on connected bipartite graphs, the two-sided
 connectivity rule, and the closed-set candidates of ``facets`` and
 ``canonical_representation`` must give what all independent sets give.
-Every certificate the library returns is checked directly.  Examples
-are derandomized, so every run tests the same inputs.
+Every certificate the library returns is checked directly, and every
+halfspace it builds must pass the constructor checks it skipped.
+Examples are derandomized, so every run tests the same inputs.
 """
 
 import itertools
@@ -24,7 +25,8 @@ from edgecone import (IndependentSetTag, brute_force_facet_generator_sets,
                       independent_set_halfspace, independent_sets,
                       integer_decompose, is_independent, membership,
                       neighbor_set)
-from battery import (build, check_witness, combinatorial_facet_sets, disjoint_union, on_edges,
+from battery import (build, check_witness, checked_rebuild, combinatorial_facet_sets,
+                     disjoint_union, library_halfspaces, on_edges,
                      reference_canonical, reference_facets,
                      reference_hall_violator, scan_membership)
 
@@ -184,3 +186,10 @@ def test_closed_sets_match_the_all_sets_route(g):
 def test_full_representation_sets_equal_independent_set_halfspaces(g):
     assert list(full_representation(g).halfspaces[g.vertex_count:]) == [
         independent_set_halfspace(g, a) for a in sorted(independent_sets(g))]
+
+
+@PROPERTY
+@given(st.one_of(graphs(), graphs(bipartite=True), connected_bipartite_graphs()))
+def test_library_halfspaces_pass_the_constructor_checks(g):
+    for source, h in library_halfspaces(g):
+        assert checked_rebuild(h) == h, source
