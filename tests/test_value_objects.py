@@ -34,8 +34,8 @@ def test_library_halfspaces_pass_the_constructor_checks():
         end = sum(source == "full_representation" for source, _ in built)
         # independent_set_halfspace takes the unchecked path too, so the
         # set halfspaces of full_representation are compared with a
-        # checked construction (their tags are pinned elsewhere), and
-        # every other halfspace with its checked rebuild
+        # checked construction (test_cone pins their tags to the sorted
+        # independent sets), and every other halfspace with its rebuild
         sets = [h for _, h in built[n:end]]
         assert sets == [neighbor_halfspace(g, h.plane.tag.vertices) for h in sets], g.edges
         for source, h in built[:n] + built[end:]:
