@@ -8,9 +8,10 @@ per bipartite component.  This module builds those constraint systems
 and the one flow network that membership, decomposition and matching
 route on: the bipartite double cover, halved on bipartite components.
 A graph lays out that network's residual arcs once, on its first route,
-and keeps them; each call fills in a capacity list for its point and
-runs one maximum flow on those plain arrays.  Dimensions come from
-graph combinatorics; elimination is oracle-only.
+and keeps them; each call fills in a capacity list for its point,
+routes what it can greedily along the three-arc paths ``source -> v ->
+w' -> sink`` and finishes with one maximum flow on those plain arrays.
+Dimensions come from graph combinatorics; elimination is oracle-only.
 """
 
 from __future__ import annotations
@@ -349,9 +350,13 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     2' plus its exact reverse, so only the copy is built: on a bipartite
     graph edge arc ``k``, and entry ``k`` of the result, is edge ``k``.
     The arcs come from the graph (``_network``, built on its first
-    route); a call fills in only its own ``cap``: ``point[v]`` on the
-    source and sink arcs, and the coordinate sum, which no flow on one
-    arc exceeds, on each edge arc.  ``_max_flow`` saturates ``cap``, so
+    route); a call fills in only its own ``cap``: the coordinate sum,
+    which no flow on one arc exceeds, on each edge arc, and ``point[v]``
+    on the source and sink arcs.  Every shortest path has three arcs,
+    ``source -> v -> w' -> sink``, so a greedy pass first sends along
+    each edge arc ``v -> w'`` in layout order what ``v`` still supplies
+    and ``w'`` still takes, the warm start of Hopcroft and Karp (1973),
+    and leaves the rest to ``_max_flow``.  That saturates ``cap``, so
     its odd entries are then the flows.
     A short flow leaves reachable left vertices ``S`` with
     ``point(S) > point(N(S))`` (the reverse copy carries the reversed
@@ -369,9 +374,24 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     source, sink = 2 * n, 2 * n + 1
     side2, left, right, edge_arcs, adj, to = g._flow_network
     cap = [sum(point), 0] * edge_arcs + [0] * (2 * (len(left) + len(right)))
-    cap[2 * edge_arcs::2] = [point[v] for v in left + right]
+    left_over = list(point) * 2  # what node v still supplies, node n + v still takes
+    pushed = 0
+    for arc in range(0, 2 * edge_arcs, 2):
+        head, tail = to[arc], to[arc + 1]
+        sent = left_over[tail]
+        if sent > left_over[head]:
+            sent = left_over[head]
+        if sent:
+            left_over[tail] -= sent
+            left_over[head] -= sent
+            cap[arc] -= sent
+            cap[arc + 1] = sent
+            pushed += sent
+    ends = [left_over[v] for v in left] + [left_over[n + v] for v in right]
+    cap[2 * edge_arcs::2] = ends
+    cap[2 * edge_arcs + 1::2] = [point[v] - c for v, c in zip(left + right, ends)]
     value, level = _max_flow(adj, to, cap, source, sink)
-    if value == sum(point[v] for v in left) == sum(point[v] for v in right):
+    if pushed + value == sum(point[v] for v in left) == sum(point[v] for v in right):
         return cap[1:2 * edge_arcs:2]
     reached = [depth >= 0 for depth in level]
     if side2:

@@ -180,6 +180,23 @@ def bipartite_battery() -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def seeded_unions(count: int, seed: int, max_vertices: int) -> tuple[Graph, ...]:
+    """Disjoint unions of 2-4 connected graphs on at most 4 vertices,
+    bipartite or not, single edges and isolated vertices, with at most
+    ``max_vertices`` vertices in all, relabeled at random."""
+    small = connected_graphs_upto(4)
+    kinds = ([g for g in small if g.vertex_count > 2 and g.is_bipartite()],
+             [g for g in small if not g.is_bipartite()], [path(2)], [build(1, [])])
+    rng = random.Random(seed)
+    unions = []
+    while len(unions) < count:
+        parts = [rng.choice(rng.choice(kinds)) for _ in range(rng.randint(2, 4))]
+        n = sum(g.vertex_count for g in parts)
+        if n <= max_vertices:
+            unions.append(disjoint_union(parts, rng.sample(range(n), n)))
+    return tuple(unions)
+
+
 def colour_search_structure(g: Graph) -> tuple:
     """``(neighbors, components, bipartitions)`` of ``g`` from its edge
     list alone: neighbor sets, then a breadth-first search from the

@@ -10,9 +10,9 @@ import pytest
 from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
                       integer_decompose, membership, neighbor_set,
                       parity_check, parse_graph)
-from battery import (bipartite_battery, build, complete_bipartite,
-                     connected_graphs_upto, cycle, disjoint_union,
-                     kuhn_maximum_matching, path, random_connected_bipartite,
+from battery import (bipartite_battery, complete_bipartite, cycle,
+                     disjoint_union, kuhn_maximum_matching, path,
+                     random_connected_bipartite, seeded_unions,
                      standard_battery, star)
 
 cone = importlib.import_module("edgecone.cone")
@@ -221,17 +221,7 @@ def test_routing_leaves_equality_hash_repr_and_pickle_alone():
 def _reuse_graphs():
     """Both batteries plus seeded unions of bipartite and non-bipartite
     components, single edges and isolated vertices."""
-    small = connected_graphs_upto(4)
-    kinds = ([g for g in small if g.vertex_count > 2 and g.is_bipartite()],
-             [g for g in small if not g.is_bipartite()], [path(2)], [build(1, [])])
-    rng = random.Random(19)
-    unions = []
-    while len(unions) < 200:
-        parts = [rng.choice(rng.choice(kinds)) for _ in range(rng.randint(2, 4))]
-        n = sum(g.vertex_count for g in parts)
-        if n <= 10:
-            unions.append(disjoint_union(parts, rng.sample(range(n), n)))
-    return standard_battery() + bipartite_battery() + tuple(unions)
+    return standard_battery() + bipartite_battery() + seeded_unions(200, 19, 10)
 
 
 def test_a_reused_graph_answers_as_a_fresh_one():
