@@ -3,12 +3,14 @@
 Vertices are identified by their position in ``Graph.vertices`` (the
 first-appearance order of the input document); every vector in the rest
 of the package is indexed the same way.  Graphs are immutable.  Their
-derived structure (neighbor tuples, adjacency bitmasks, components and
-bipartitions) is computed eagerly, except the arcs of the flow network
-that membership, decomposition and matching route on, which a graph
-builds on its first route and then only reads.  So instances are safe
-to share between threads.  A vertex set is handled as a bitmask over
-vertex indices wherever it is searched or combined.
+neighbor tuples, components and bipartitions are computed eagerly.
+Two cached views are built on first use and then only read: the
+adjacency bitmasks, built by the first walk over vertex bitmasks
+(independent sets, facets, the canonical representation, dual facets),
+and the arcs of the flow network that membership, decomposition and
+matching route on.  Decision calls never build the bitmasks.  So
+instances are safe to share between threads.  A vertex set is handled
+as a bitmask over vertex indices wherever it is searched or combined.
 """
 
 from __future__ import annotations
@@ -33,78 +35,85 @@ VertexSet = tuple[int, ...]
 class Graph:
     """Immutable simple graph: string labels, loop-free deduplicated edges.
 
-    ``edges`` holds index pairs ``(i, j)`` with ``i < j``.  ``neighbors[v]``
-    lists the neighbors of ``v`` in increasing order, and ``masks[v]``
-    holds them as a bitmask over vertex indices.  ``components``
-    partitions the vertex indices; ``bipartitions[k]`` is ``(side1, side2)``
-    for a bipartite component (``side1`` contains the component's smallest
-    index) and ``None`` for a non-bipartite one.  An isolated vertex is a
-    bipartite component with an empty second side.  ``_flow_network``,
-    the point-independent part of the flow network (``cone._network``),
-    is built on first use and is read-only; it takes no part in
-    equality, hashing, ``repr`` or pickling.
+    ``vertices`` and ``edges`` are copied into tuples, so a caller's
+    list cannot change the graph later.  ``edges`` holds index pairs
+    ``(i, j)`` with ``i < j``.  ``neighbors[v]`` lists the neighbors of
+    ``v`` in increasing order.  ``components`` partitions the vertex
+    indices; ``bipartitions[k]`` is ``(side1, side2)`` for a bipartite
+    component (``side1`` contains the component's smallest index) and
+    ``None`` for a non-bipartite one.  An isolated vertex is a bipartite
+    component with an empty second side.  Two cached views are built on
+    first use and are read-only: ``masks``, whose ``masks[v]`` holds
+    ``neighbors[v]`` as a bitmask over vertex indices, and
+    ``_flow_network``, the point-independent part of the flow network
+    (``cone._network``).  Membership, decomposition, matching,
+    ``cone_dimension`` and ``affine_hull`` never build ``masks``.
+    Cached views take no part in equality, hashing, ``repr`` or
+    pickling.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     components: tuple[VertexSet, ...] = field(init=False, repr=False, compare=False)
     bipartitions: tuple[tuple[VertexSet, VertexSet] | None, ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex labels")
+        object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))
         if not all_int(chain.from_iterable(self.edges)):
             vertex_set(self, chain.from_iterable(self.edges))  # raises the type error
-        masks = [0] * n
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
+        seen = set()
+        for edge in self.edges:
+            i, j = edge
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             if i == j:
                 raise ValueError(f"loop at vertex {i}")
             if i > j:
                 raise ValueError(f"edge ({i}, {j}) not normalized as i < j")
-            bit = 1 << j
-            if masks[i] & bit:
+            if edge in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            masks[i] |= bit
-            masks[j] |= 1 << i
+            seen.add(edge)
             adjacency[i].append(j)
             adjacency[j].append(i)
-        # Breadth-first layers from the lowest unseen vertex alternate
-        # sides, and an edge inside a layer closes an odd cycle.
+        # Breadth-first search from the lowest unseen vertex colours each
+        # vertex opposite to the one it is reached from, and an edge
+        # between equal colours closes an odd cycle.
+        colour = [-1] * n
         components = []
         bipartitions = []
-        unseen = (1 << n) - 1
-        while unseen:
-            layer = reached = unseen & -unseen
-            sides = ([], [])
-            side = 0
+        for start in range(n):
+            if colour[start] >= 0:
+                continue
+            colour[start] = 0
+            reached = [start]
             odd = False
-            while layer:
-                near = 0
-                rest = layer
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    sides[side].append(v)
-                    near |= masks[v]
-                odd = odd or bool(near & layer)
-                layer = near & ~reached
-                reached |= layer
-                side ^= 1
-            unseen &= ~reached
-            components.append(tuple(sorted(sides[0] + sides[1])))
-            bipartitions.append(None if odd else tuple(tuple(sorted(part)) for part in sides))
+            for v in reached:  # grows while it is read
+                for w in adjacency[v]:
+                    if colour[w] < 0:
+                        colour[w] = 1 - colour[v]
+                        reached.append(w)
+                    elif colour[w] == colour[v]:
+                        odd = True
+            reached.sort()
+            components.append(tuple(reached))
+            bipartitions.append(None if odd else (
+                tuple(v for v in reached if not colour[v]),
+                tuple(v for v in reached if colour[v])))
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in adjacency))
-        object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "components", tuple(components))
         object.__setattr__(self, "bipartitions", tuple(bipartitions))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """``neighbors`` as bitmasks, built by the first bitmask walk."""
+        return tuple(sum(1 << w for w in a) for a in self.neighbors)
 
     @cached_property
     def _flow_network(self):
@@ -112,7 +121,7 @@ class Graph:
         return _network(self)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_flow_network"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("masks", "_flow_network")}
 
     @property
     def vertex_count(self) -> int:
@@ -173,6 +182,14 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(labels), tuple(edges))
 
 
+def _pair(edge) -> tuple[int, int]:
+    """``edge`` copied into a tuple; it must be a tuple or list of two
+    items."""
+    if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+        raise ValueError(f"edge {edge!r} is not a pair of vertex indices")
+    return tuple(edge)
+
+
 def vertex_set(g: Graph, indices: Iterable[int]) -> VertexSet:
     """Normalize a collection of vertex indices: sorted, deduplicated,
     range-checked against ``g``.  Every index must pass ``is_int``: bools
@@ -190,17 +207,14 @@ def vertex_set(g: Graph, indices: Iterable[int]) -> VertexSet:
 
 def neighbor_set(g: Graph, a: Iterable[int]) -> VertexSet:
     """All vertices adjacent to at least one member of ``a``."""
-    members = vertex_set(g, a)
-    out: set[int] = set()
-    for v in members:
-        out.update(g.neighbors[v])
-    return tuple(sorted(out))
+    return tuple(sorted({*chain.from_iterable(g.neighbors[v] for v in vertex_set(g, a))}))
 
 
 def is_independent(g: Graph, a: Iterable[int]) -> bool:
-    """True iff no edge of ``g`` has both endpoints in ``a``."""
-    inner = sum(1 << v for v in vertex_set(g, a))
-    return not _union(g.masks, inner) & inner
+    """True iff no edge of ``g`` has both endpoints in ``a``; reads
+    ``neighbors``, so it builds no bitmask."""
+    members = vertex_set(g, a)
+    return set(members).isdisjoint(chain.from_iterable(g.neighbors[v] for v in members))
 
 
 def check_gate(g: Graph, max_vertices: int) -> None:

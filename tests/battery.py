@@ -202,7 +202,7 @@ def colour_search_structure(g: Graph) -> tuple:
     list alone: neighbor sets, then a breadth-first search from the
     smallest unseen vertex that colours each vertex opposite to its
     parent and marks the component non-bipartite at an edge between
-    equal colours.  Kept only to compare the library's bitmask layers
+    equal colours.  Kept only to compare the library's structure
     against."""
     n = g.vertex_count
     adjacency = [set() for _ in range(n)]

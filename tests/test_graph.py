@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -88,6 +89,27 @@ def test_graph_rejects_loops_and_duplicates_in_edge_order(edges, message):
     # reaches the checks in Graph
     with pytest.raises(ValueError, match=message):
         Graph(("a", "b", "c"), edges)
+
+
+def test_graph_copies_a_mutable_edge_list():
+    edges = [(0, 1)]
+    g = Graph(["a", "b", "c"], edges)
+    edges.append((1, 2))
+    assert g.vertices == ("a", "b", "c") and g.edges == ((0, 1),)
+    assert g.components == ((0, 1), (2,))
+    assert hash(g) == hash(Graph(("a", "b", "c"), ((0, 1),)))
+
+
+def test_graph_takes_an_edge_given_as_a_list():
+    g = Graph(("a", "b"), ([0, 1],))
+    assert g.edges == ((0, 1),) and g == parse_graph("a b")
+    assert hash(g) == hash(parse_graph("a b"))
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), [0, 1, 2], 5])
+def test_graph_rejects_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(ValueError, match=rf"edge {re.escape(repr(edge))} is not a pair"):
+        Graph(("a", "b", "c"), ((0, 1), edge))
 
 
 def test_structure_equals_the_colour_search():

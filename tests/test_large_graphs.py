@@ -3,10 +3,11 @@ above the enumeration gate: every decision is polynomial and comes with
 a certificate that is checked here."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from edgecone import (GraphRequirementError, has_perfect_matching,
+from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
                       integer_decompose, is_independent, membership,
                       neighbor_set)
 from battery import build, check_witness, cycle, path, random_connected
@@ -17,6 +18,21 @@ def shared_neighbor_graph(n: int):
     is the path's last vertex: bipartite, with no perfect matching."""
     edges = [(i, i + 1) for i in range(n - 3)]
     return build(n, edges + [(n - 3, n - 2), (n - 3, n - 1)])
+
+
+def test_graph_memory_is_linear():
+    # one bitmask per vertex would hold about n**2 / 2 bits in all on a
+    # path: some 30 MB at this size, against about 7 MB for the lists
+    n = 20_000
+    labels = tuple(f"v{i}" for i in range(n))
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        Graph(labels, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15_000_000
 
 
 def test_long_odd_cycle_membership():

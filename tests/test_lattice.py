@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
-                      integer_decompose, membership, neighbor_set,
-                      parity_check, parse_graph)
+from edgecone import (Graph, GraphRequirementError, affine_hull,
+                      cone_dimension, facets, has_perfect_matching,
+                      integer_decompose, is_independent, membership,
+                      neighbor_set, parity_check, parse_graph)
 from battery import (bipartite_battery, complete_bipartite, cycle,
                      disjoint_union, kuhn_maximum_matching, path,
                      random_connected_bipartite, seeded_unions,
@@ -211,11 +212,23 @@ def test_routing_leaves_equality_hash_repr_and_pickle_alone():
     decomposed = integer_decompose(g, b)
     assert decomposed and has_perfect_matching(g)
     assert not membership(g, (1, 0, 0, 0, 0, 0))
+    assert facets(g)  # builds the bitmasks
     assert g == Graph(g.vertices, g.edges)
     assert (hash(g), repr(g), pickle.dumps(g)) == before
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and (hash(copy), repr(copy)) == before[:2]
     assert integer_decompose(copy, b) == decomposed
+
+
+def test_decision_calls_build_no_bitmask():
+    g = cycle(6)
+    assert membership(g, (1,) * 6) and not membership(g, (2, 0, 0, 0, 0, 0))
+    assert integer_decompose(g, (2, 1, 1, 2, 1, 1)) and has_perfect_matching(g)
+    assert cone_dimension(g) == 5 and affine_hull(g)
+    assert is_independent(g, (0, 2)) and neighbor_set(g, (0,)) == (1, 5)
+    assert "masks" not in vars(g)
+    facets(g)
+    assert g.masks == tuple(sum(1 << w for w in a) for a in g.neighbors)
 
 
 def _reuse_graphs():
