@@ -16,7 +16,7 @@ Dimensions come from graph combinatorics; elimination is oracle-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
@@ -28,12 +28,29 @@ SENSE_GE = ">=0"
 SENSE_LE = "<=0"
 
 
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} {name!r}")
+
+
+def _frozen(cls):
+    """Make every assignment and deletion on the slotted frozen ``cls``
+    raise ``FrozenInstanceError``, a field or not.  ``dataclass(slots=True)``
+    rebuilds the class, and the ``__setattr__`` it generated still names
+    the class it replaced, so on CPython 3.10-3.13 a name that is no field
+    raises ``TypeError`` from its ``super()`` call.  Construction, ``copy``
+    and ``pickle`` write through ``object.__setattr__`` and are unaffected."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class CoordinateTag:
     """Hyperplane of a single vanishing coordinate."""
     vertex: int
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class IndependentSetTag:
     """Hyperplane equating an independent set's coordinate sum with its
@@ -41,6 +58,7 @@ class IndependentSetTag:
     vertices: VertexSet
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class ComponentTag:
     """Affine-hull balance equation of one bipartite component."""
@@ -50,6 +68,7 @@ class ComponentTag:
 Tag = Union[CoordinateTag, IndependentSetTag, ComponentTag, None]
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Hyperplane:
     """Primitive integer normal plus the combinatorial origin of the
@@ -68,6 +87,7 @@ class Hyperplane:
             raise ValueError(f"normal must be primitive and nonzero: {self.normal}")
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Halfspace:
     """Closed halfspace ``<normal, x> >= 0`` or ``<= 0``.

@@ -3,15 +3,17 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs, and ``remove_redundant`` takes it, as does ``facets`` on
-non-bipartite components.  The rank is the edge-cone dimension of the
-subgraph those edges form, so no elimination runs here; only the
-oracle eliminates.  For a connected bipartite graph the facets are the
-directed bonds, and ``facets``, ``canonical_representation`` and
-``dual_facet`` read their tags off the bonds with no rank; the cone has
-a unique irreducible representation whose halfspaces are tagged by
-independent sets strictly inside side 1 plus coordinate halfspaces of
-side-2 vertices.
+graphs, and it is taken only where no combinatorial route exists: by
+``face_dimension`` and ``is_facet`` on any hyperplane, and by
+``facets`` on non-bipartite components.  The rank is the edge-cone
+dimension of the subgraph those edges form, so no elimination runs
+here; only the oracle eliminates.  For a connected bipartite graph the
+facets are the directed bonds, and ``facets``,
+``canonical_representation``, ``remove_redundant`` and ``dual_facet``
+read their tags off the bonds with no rank; the cone has a unique
+irreducible representation whose halfspaces are tagged by independent
+sets strictly inside side 1 plus coordinate halfspaces of side-2
+vertices.
 
 Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
@@ -40,13 +42,14 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
-                   IndependentSetTag, Tag, _set_halfspace, affine_hull,
+                   IndependentSetTag, Tag, _frozen, _set_halfspace, affine_hull,
                    cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _members, _union,
                     check_gate, vertex_set)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Facet:
     """A facet together with the edge indices spanning it."""
@@ -456,6 +459,17 @@ def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator
             stack.append(node)
 
 
+def _bond_halfspaces(g: Graph) -> tuple[Halfspace, ...]:
+    """The canonical halfspaces of the connected bipartite ``g``, in tag
+    order: one per directed bond ``(S, T)`` (see ``_directed_bonds``),
+    tagged ``_bond_tag(S, side1)``."""
+    side1_mask = sum(1 << v for v in g.bipartitions[0][0])
+    tags = sorted((_bond_tag(s, side1_mask)
+                   for s in _directed_bonds(g.masks, side1_mask, (1 << g.vertex_count) - 1)),
+                  key=_tag_sort_key)
+    return tuple(_halfspace(g, t) for t in tags)
+
+
 def canonical_representation(g: Graph,
                              max_vertices: int = DEFAULT_MAX_VERTICES) -> ConeRepresentation:
     """The unique irreducible representation of a connected bipartite
@@ -469,38 +483,30 @@ def canonical_representation(g: Graph,
     wrong way.  No rank is taken.  A single edge has no facet, and its
     one bond gives the side-2 coordinate that carves out the ray.
     """
-    side1 = _sides(g)[0]
+    _sides(g)
     if not g.edges:
         raise GraphRequirementError(
             "canonical representation requires at least one edge")
     if cone_dimension(g) > 1:
         check_gate(g, max_vertices)
-    side1_mask = sum(1 << v for v in side1)
-    tags = sorted((_bond_tag(s, side1_mask)
-                   for s in _directed_bonds(g.masks, side1_mask, (1 << g.vertex_count) - 1)),
-                  key=_tag_sort_key)
-    return ConeRepresentation(affine_hull(g), tuple(_halfspace(g, t) for t in tags),
-                              "canonical_bipartite")
+    return ConeRepresentation(affine_hull(g), _bond_halfspaces(g), "canonical_bipartite")
 
 
 def remove_redundant(g: Graph, rep: ConeRepresentation) -> ConeRepresentation:
-    """Reduce the full representation of a connected bipartite graph to
-    the canonical irreducible one.
+    """Reduce ``rep = full_representation(g)`` of a connected bipartite
+    graph to the canonical irreducible representation.
 
-    Keeps, in tag order, the side-2 coordinate and side-1 set halfspaces
-    whose on-edges have rank ``cone_dimension - 1``; by uniqueness each
-    facet has exactly one.  A single edge keeps its side-2 coordinate.
+    Keeps, in tag order, the halfspaces of ``rep`` that the directed
+    bonds give ``canonical_representation``, so no rank is taken; by
+    uniqueness each facet has exactly one.  A single edge keeps its
+    side-2 coordinate and a single vertex keeps nothing.  A halfspace
+    of a hand-built ``rep`` that carries a canonical tag but another
+    normal is dropped.
     """
-    side1, side2 = (set(side) for side in _sides(g))
+    _sides(g)
     if rep.kind != "full":
         raise ValueError(f"expected a full representation, got kind={rep.kind!r}")
-    dim = cone_dimension(g)
-    kept = []
-    for h in rep.halfspaces:
-        tag = h.plane.tag
-        if (isinstance(tag, CoordinateTag) and tag.vertex in side2
-                or isinstance(tag, IndependentSetTag) and side1.issuperset(tag.vertices)
-                ) and face_dimension(g, h) == dim - 1:
-            kept.append(h)
-    kept.sort(key=lambda h: _tag_sort_key(h.plane.tag))
+    wanted = {h.plane.tag: h for h in _bond_halfspaces(g)}
+    kept = sorted((h for h in rep.halfspaces if wanted.get(h.plane.tag) == h),
+                  key=lambda h: _tag_sort_key(h.plane.tag))
     return ConeRepresentation(affine_hull(g), tuple(kept), "canonical_bipartite")

@@ -62,6 +62,9 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         n = len(self.vertices)
+        if not {*map(type, self.vertices)} <= {str}:
+            label = next(v for v in self.vertices if type(v) is not str)
+            raise ValueError(f"vertex label must be a str, got {label!r}")
         if len(set(self.vertices)) != n:
             raise ValueError("duplicate vertex labels")
         object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))

@@ -102,10 +102,8 @@ def has_perfect_matching(g: Graph) -> MatchingResult:
     vertex can be dropped.
     """
     _require_bipartite(g, "perfect matching decision")
-    ones = (1,) * g.vertex_count
-    result = integer_decompose(g, ones)
-    if result:
-        # an edge arc carries at most the unit its source arc brings in
-        return MatchingResult(True, matching=tuple(
-            k for k, _ in result.decomposition.multiplicities))
-    return MatchingResult(False, violator=result.violated.plane.tag.vertices)
+    routed = _route(g, (1,) * g.vertex_count)
+    if isinstance(routed, Halfspace):
+        return MatchingResult(False, violator=routed.plane.tag.vertices)
+    # an edge arc carries at most the unit its source arc brings in
+    return MatchingResult(True, matching=tuple(k for k, used in enumerate(routed) if used))

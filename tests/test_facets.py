@@ -345,7 +345,8 @@ def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):
     # when every component is bipartite the directed bonds give the
     # facets and their tags: no closed set is listed and no rank is taken
     battery = [g for g in bipartite_battery() if g.is_connected()]
-    graphs = battery + [spider(4), random_connected_bipartite(12, random.Random(3), 0.2)]
+    connected = battery + [spider(4), random_connected_bipartite(12, random.Random(3), 0.2)]
+    graphs = list(connected)
     # unions with single edges and isolated vertices, placed below and
     # above the other vertices and then shuffled
     single, isolated = path(2), build(1, [])
@@ -369,6 +370,10 @@ def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):
     monkeypatch.setattr(module, "_edge_rank", refuse)
     for g, reference in zip(graphs, expected):
         assert facets(g) == reference, (g.vertex_count, g.edges)
+    # nor does remove_redundant, on the connected ones and a single vertex
+    for g in connected + [isolated]:
+        reduced = remove_redundant(g, full_representation(g))
+        assert reduced == canonical_representation(g) if g.edges else not reduced.halfspaces
     # an isolated vertex below spider(16) shifts every index by one and
     # joins every set tag; the edges and the order stay
     fs = facets(disjoint_union([isolated, spider(16)]), max_vertices=34)
@@ -414,9 +419,9 @@ def test_remove_redundant_equals_canonical():
     for g in (cycle(4), cycle(6), K13, K23, path(5), parse_graph("a b")):
         assert remove_redundant(g, full_representation(g)) == \
             canonical_representation(g)
-    # the two routes share no code: rank over a full representation,
-    # and directed bonds
-    for g in bipartite_battery():
+    # reference_canonical, the independent route, ranks every one-sided
+    # halfspace of the full representation
+    for g in bipartite_battery() + (random_connected_bipartite(17, random.Random(0), 0.12),):
         if g.edges:
             reference = reference_canonical(g)
             assert remove_redundant(g, full_representation(g)) == reference, g.edges

@@ -154,6 +154,16 @@ def test_vertex_indices_must_be_ints(bad):
             Graph(("a", "b"), (edge,))
 
 
+@pytest.mark.parametrize("bad", [1, 2.5, None, b"a"])
+def test_vertex_labels_must_be_strs(bad):
+    # checked before the duplicate check, which (1, 1) would fail
+    for labels in ((bad,), ("a", bad), (bad, bad)):
+        with pytest.raises(ValueError, match=re.escape(f"vertex label must be a str, got {bad!r}")):
+            Graph(labels, ())
+    with pytest.raises(ValueError, match="vertex label must be a str"):
+        Graph(("a", bad), ((0, 1),))
+
+
 def test_bipartition_side1_contains_smallest_index():
     # center last: side 1 must be the leaf side
     g = star(3)

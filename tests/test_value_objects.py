@@ -90,9 +90,9 @@ def test_slotted_classes_stay_frozen():
         for name in obj.__dataclass_fields__:
             assert refused(lambda: setattr(obj, name, None), FrozenInstanceError)
             assert refused(lambda: delattr(obj, name), FrozenInstanceError)
-        # a new attribute has no slot; the frozen __setattr__ then fails
-        # in its super() call, with TypeError on CPython 3.10-3.13
-        assert refused(lambda: setattr(obj, "extra", None), (AttributeError, TypeError))
+        # a name that is no field is refused the same way
+        assert refused(lambda: setattr(obj, "extra", None), FrozenInstanceError)
+        assert refused(lambda: delattr(obj, "extra"), FrozenInstanceError)
 
 
 if __name__ == "__main__":
