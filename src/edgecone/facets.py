@@ -3,17 +3,16 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs, and it is taken only where no combinatorial route exists: by
-``face_dimension`` and ``is_facet`` on any hyperplane, and by
-``facets`` on non-bipartite components.  The rank is the edge-cone
-dimension of the subgraph those edges form, so no elimination runs
-here; only the oracle eliminates.  For a connected bipartite graph the
-facets are the directed bonds, and ``facets``,
-``canonical_representation``, ``remove_redundant`` and ``dual_facet``
-read their tags off the bonds with no rank; the cone has a unique
-irreducible representation whose halfspaces are tagged by independent
-sets strictly inside side 1 plus coordinate halfspaces of side-2
-vertices.
+graphs, and only ``face_dimension`` and ``is_facet`` take it.  The rank
+is the edge-cone dimension of the subgraph those edges form, read off
+the colouring search that builds ``Graph``, so no elimination runs
+here; only the oracle eliminates.  ``facets`` takes no rank.  For a
+connected bipartite graph the facets are the directed bonds, and
+``facets``, ``canonical_representation``, ``remove_redundant``,
+``bipartite_facet_check`` and ``dual_facet`` read their tags off the
+bonds; the cone has a unique irreducible representation whose
+halfspaces are tagged by independent sets strictly inside side 1 plus
+coordinate halfspaces of side-2 vertices.
 
 Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
@@ -28,25 +27,25 @@ number of facets.  On a non-bipartite component its candidates are the
 coordinate hyperplanes and the closed independent sets, the independent
 extents of the formal concepts of the non-adjacency relation (Ganter
 and Wille 1999), which Close-by-One lists on vertex bitmasks; ``facets``
-proves both candidate lists complete.  Each closed set is decided from
-bitmasks of its vertices and edges, and a ``Halfspace`` is built only
-for the tag that a facet keeps, so that cost follows the number of
-closed sets, not the number of independent sets
-(``full_representation`` still lists all of those).
+proves both candidate lists complete.  Each candidate is decided by the
+split it makes of the component, searched on vertex bitmasks (the
+regular vertices and fundamental sets of Ohsugi and Hibi 1998), and a
+``Halfspace`` is built only for the tag that a facet keeps, so that
+cost follows the number of closed sets, not the number of independent
+sets (``full_representation`` still lists all of those).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
                    IndependentSetTag, Tag, _frozen, _set_halfspace, affine_hull,
                    cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _members, _union,
-                    check_gate, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _colour_search, _members,
+                    _union, check_gate, vertex_set)
 
 
 @_frozen
@@ -59,34 +58,18 @@ class Facet:
 
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
-    """Rank of the edge vectors with indices ``on``: the vertices they
-    touch minus the bipartite components of the subgraph they form.  A
-    union-find that keeps each vertex's colour relative to its parent
-    counts it as one per edge joining two trees plus one per tree in
-    which an edge closed an odd cycle."""
-    n = g.vertex_count
-    parent = list(range(n))
-    colour = [0] * n
-    odd = [False] * n  # per root
-    rank = 0
+    """Rank of the edge vectors with indices ``on``: the edge-cone
+    dimension of the subgraph they form on all vertices of ``g``, its
+    vertex count minus its bipartite components, read off the colouring
+    search that builds ``Graph``.  A vertex no edge touches is a
+    bipartite component and adds nothing."""
+    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for idx in on:
         i, j = g.edges[idx]
-        ci = cj = 0
-        while parent[i] != i:
-            ci ^= colour[i]
-            i = parent[i]
-        while parent[j] != j:
-            cj ^= colour[j]
-            j = parent[j]
-        if i != j:
-            parent[j] = i
-            colour[j] = ci ^ cj ^ 1
-            rank += 1 - (odd[i] and odd[j])
-            odd[i] = odd[i] or odd[j]
-        elif ci == cj and not odd[i]:
-            odd[i] = True
-            rank += 1
-    return rank
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return sum(len(reached) - (colour is not None)
+               for reached, colour in _colour_search(adjacency))
 
 
 def face_dimension(g: Graph, h: Hyperplane | Halfspace) -> int:
@@ -167,10 +150,35 @@ def _reach(masks: Sequence[int], seed: int, within: int) -> int:
     return reached
 
 
-def _connected(masks: Sequence[int], members: int) -> bool:
-    """Whether the vertex bitmask ``members`` is nonempty and induces a
-    connected subgraph."""
-    return bool(members) and _reach(masks, members & -members, members) == members
+def _all_odd(masks: Sequence[int], part: int) -> bool:
+    """Whether every component of the subgraph induced on the vertex
+    bitmask ``part`` has an odd cycle.  Breadth-first layers from the
+    lowest vertex of a component find one iff an edge joins two
+    vertices of the same layer."""
+    while part:
+        reached = frontier = part & -part
+        odd = False
+        while frontier:
+            near = _union(masks, frontier) & part
+            odd = odd or bool(near & frontier)
+            frontier = near & ~reached
+            reached |= frontier
+        if not odd:
+            return False
+        part &= ~reached
+    return True
+
+
+def _linked(masks: Sequence[int], a: int) -> bool:
+    """Whether the members of the vertex bitmask ``a``, an independent
+    set with no isolated vertex, are linked through common neighbors:
+    whether the edges between ``a`` and its neighbors form a connected
+    graph."""
+    reached = frontier = a & -a
+    while frontier:
+        frontier = _union(masks, _union(masks, frontier)) & a & ~reached
+        reached |= frontier
+    return reached == a
 
 
 def _halfspace(g: Graph, tag: Tag) -> Halfspace:
@@ -201,7 +209,9 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     set's hyperplane; when several candidates cut the same facet the
     coordinate tag (smallest index) is preferred, then the
     lexicographically smallest set.  Output order: coordinate-tagged
-    facets by index, then set-tagged facets lexicographically.
+    facets by index, then set-tagged facets lexicographically.  The
+    generators of a facet are read off the normal of the tag it keeps:
+    the edges ``(i, j)`` with ``normal[i] + normal[j] == 0``.
 
     The cone of a disjoint union is the product of its components'
     cones, so each facet is a facet ``F`` of one component ``C`` with
@@ -259,37 +269,39 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
 
     A connected non-bipartite component ``C`` has a full-dimensional
     cone, so a candidate cuts a facet iff the edges of ``C`` on its
-    hyperplane have rank ``|C| - 1``, and a facet has one normal up to
-    a positive scale.  The candidate normals have entries in ``{-1, 0,
+    hyperplane have rank ``|C| - 1``: iff the graph ``H`` they form on
+    the vertices of ``C`` has exactly one bipartite component, an
+    isolated vertex counted as one.  A facet has one normal up to a
+    positive scale.  The candidate normals have entries in ``{-1, 0,
     1}``, a set's normal has a ``-1`` (every member has a neighbor) and
     distinct sets differ where the normal is 1, so each facet has at
-    most one candidate, and no grouping is needed.  The candidates are
-    the coordinates of ``C`` and its closed sets, the independent ``A``
+    most one candidate, and no grouping is needed.  Off the plane of
+    ``x_v`` lie the edges at ``v``, so ``H`` is ``C - v`` and ``v``
+    alone: ``x_v`` cuts a facet iff every component of ``C - v`` has an
+    odd cycle.  For an independent ``A`` let ``R = C - A - N(A)``.  An
+    edge of ``C`` lies on ``A``'s hyperplane iff it joins ``A`` to
+    ``N(A)`` or lies inside ``R``, so the ``A``-``N(A)`` edges form
+    bipartite components of ``H`` that cover ``A + N(A)``, and the rest
+    of ``H`` is the subgraph induced on ``R``: ``A`` cuts a facet iff its
+    members are linked through common neighbors, so that those edges
+    form one component, and every component of ``R`` has an odd cycle.
+    These are the regular vertices and the fundamental sets of Ohsugi
+    and Hibi (J. Algebra 207, 1998), and both are tested on vertex
+    bitmasks.  Only closed sets are candidates, the independent ``A``
     such that every ``u`` in ``C`` with ``N(u) <= N(A)`` lies in ``A``;
-    no other set cuts a facet, so each facet has exactly one.  Let
-    ``R = C - A - N(A)``.  An edge of ``C`` lies on ``A``'s hyperplane
-    iff it joins ``A`` to ``N(A)`` or lies inside ``R``; call the graph
-    of those edges ``H``, on ``C``.  The face has rank ``|C|`` minus
-    the bipartite components of ``H``, and the ``A``-``N(A)`` edges
-    form bipartite components of ``H``.  Now let ``u`` outside ``A``
-    have ``N(u) <= N(A)``.  Then ``u`` lies in ``R`` (a neighbor of
-    ``u`` in ``A`` would lie in ``N(A)``, next to a member of ``A``),
-    all its edges reach ``N(A)`` and are off the hyperplane, so ``u`` is
-    a component of ``H`` by itself, and its neighbors lie in a further
-    one, of ``A``-``N(A)`` edges: the rank is at most ``|C| - 2``.
-    Close-by-One lists the closed sets, so the cost follows their
-    number, not the number of independent sets.
+    no other set cuts a facet, so each facet has exactly one.  For let
+    ``u`` outside ``A`` have ``N(u) <= N(A)``.  Then ``u`` lies in ``R``
+    (a neighbor of ``u`` in ``A`` would lie in ``N(A)``, next to a
+    member of ``A``) with all its neighbors in ``N(A)``, so it is a
+    component of ``R`` with no edge.  Close-by-One lists the closed
+    sets, so the cost follows their number, not the number of
+    independent sets.
     """
     dim = cone_dimension(g)
     if dim <= 1:
         return ()
     check_gate(g, max_vertices)
     masks = g.masks
-    incident = [0] * g.vertex_count  # edges at each vertex
-    for idx, (i, j) in enumerate(g.edges):
-        incident[i] |= 1 << idx
-        incident[j] |= 1 << idx
-    everything = (1 << len(g.edges)) - 1
     # side 1 of each component, by lowest vertex; 0, which adds nothing,
     # if it is not bipartite
     firsts = [sum(1 << v for v in sides[0]) if sides else 0 for sides in g.bipartitions]
@@ -315,24 +327,16 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
                 else:
                     s1, t2 = s & side1, t & ~side1
                     tag = IndependentSetTag(min(grown(x, side1) for x in (s1, t2, s1 | t2)))
-                # off the bond's facet: the cut
-                chosen.append((tag, everything & ~(_union(incident, s) & _union(incident, t))))
+                chosen.append(tag)
             continue
-        inside = _union(incident, universe)
-        coordinates = ((incident[v], CoordinateTag(v)) for v in component)
-        # off A's hyperplane: the edges that touch N(A) and miss A
-        sets = ((_union(incident, na) & ~_union(incident, a), a)
-                for a, na in _closed_sets(masks, universe))
-        for off, tag in chain(coordinates, sets):
-            on = inside & ~off
-            # the rank never exceeds the edge count
-            if on.bit_count() >= len(component) - 1 and \
-                    _edge_rank(g, _members(on)) == len(component) - 1:
-                if isinstance(tag, int):
-                    tag = IndependentSetTag(grown(tag, 0))
-                chosen.append((tag, everything & ~off))
-    chosen.sort(key=lambda pair: _tag_sort_key(pair[0]))
-    return tuple(Facet(_halfspace(g, tag), tuple(_members(on))) for tag, on in chosen)
+        chosen += [CoordinateTag(v) for v in component
+                   if _all_odd(masks, universe & ~(1 << v))]
+        chosen += [IndependentSetTag(grown(a, 0)) for a, na in _closed_sets(masks, universe)
+                   if _linked(masks, a) and _all_odd(masks, universe & ~(a | na))]
+    halfspaces = [_halfspace(g, tag) for tag in sorted(chosen, key=_tag_sort_key)]
+    return tuple(Facet(h, tuple(idx for idx, (i, j) in enumerate(g.edges)
+                                if h.plane.normal[i] + h.plane.normal[j] == 0))
+                 for h in halfspaces)
 
 
 def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
@@ -346,25 +350,28 @@ def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
     return g.bipartitions[0]
 
 
-def _bond_rest(g: Graph, a: Iterable[int]) -> tuple[VertexSet, int]:
+def _bond_half(g: Graph, a: Iterable[int]) -> tuple[VertexSet, set[int] | None]:
     """The checked members of ``a``, an independent set strictly inside
-    side 1 of a connected bipartite graph, and the bitmask of the rest
-    ``T = V - A - N(A)`` if ``(A + N(A), T)`` is a directed bond, else 0
-    (``T`` holds a side-1 vertex, so it is never empty)."""
+    side 1 of a connected bipartite graph, and the half ``S = A + N(A)``
+    if ``(S, V - S)`` is a directed bond, else ``None``.  ``N(A)`` lies
+    on side 2, so every edge between the halves runs from side 2 in
+    ``S`` to side 1 in the rest, which holds a side-1 vertex and so is
+    never empty: the split is a bond iff both halves are connected, that
+    is iff dropping the edges between them leaves two components."""
     side1 = _sides(g)[0]
     members = vertex_set(g, a)
     if not members:
         raise ValueError("independent set must be nonempty")
-    inner = sum(1 << v for v in members)
-    near = _union(g.masks, inner)
-    if near & inner:
+    half = {w for v in members for w in g.neighbors[v]}
+    if not half.isdisjoint(members):
         raise ValueError(f"vertex set {members} is not independent")
     if not set(members) < set(side1):
         raise ValueError(
             f"vertex set {members} is not strictly inside side 1 {side1}")
-    rest = ((1 << g.vertex_count) - 1) & ~(inner | near)
-    cut = _connected(g.masks, inner | near) and _connected(g.masks, rest)
-    return members, rest if cut else 0
+    half.update(members)
+    split = [[w for w in near if (w in half) == (v in half)]
+             for v, near in enumerate(g.neighbors)]
+    return members, half if sum(1 for _ in _colour_search(split)) == 2 else None
 
 
 def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
@@ -375,7 +382,7 @@ def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
     neighbors and the one induced on the remaining vertices are both
     connected (their union always spans the graph).
     """
-    return bool(_bond_rest(g, a)[1])
+    return _bond_half(g, a)[1] is not None
 
 
 def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
@@ -386,9 +393,10 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     ``(S, T)`` (see ``_directed_bonds``), and the facet is tagged by the
     other half: ``x_v`` if ``T = {v}``, else ``T & side2``.
     """
-    members, rest = _bond_rest(g, a)
-    if not rest:
+    members, half = _bond_half(g, a)
+    if half is None:
         raise ValueError(f"vertex set {members} does not cut a facet")
+    rest = sum(1 << v for v in range(g.vertex_count) if v not in half)
     return _halfspace(g, _bond_tag(rest, sum(1 << v for v in g.bipartitions[0][1])))
 
 

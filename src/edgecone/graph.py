@@ -3,14 +3,18 @@
 Vertices are identified by their position in ``Graph.vertices`` (the
 first-appearance order of the input document); every vector in the rest
 of the package is indexed the same way.  Graphs are immutable.  Their
-neighbor tuples, components and bipartitions are computed eagerly.
-Two cached views are built on first use and then only read: the
-adjacency bitmasks, built by the first walk over vertex bitmasks
-(independent sets, facets, the canonical representation, dual facets),
-and the arcs of the flow network that membership, decomposition and
-matching route on.  Decision calls never build the bitmasks.  So
-instances are safe to share between threads.  A vertex set is handled
-as a bitmask over vertex indices wherever it is searched or combined.
+neighbor tuples, components and bipartitions are computed eagerly, the
+last two by ``_colour_search``, the one search for components and odd
+cycles over neighbor lists; the rank of a face and the bond test of
+``bipartite_facet_check`` and ``dual_facet`` run it on subgraphs.  Two
+cached views are built on first use and then only read: the adjacency
+bitmasks, built by the first walk over vertex bitmasks (independent
+sets, facets, the canonical representation), and the arcs of the flow
+network that membership, decomposition and matching route on.
+Decision calls, face dimensions and bond tests never build the
+bitmasks.  So instances are safe to share between threads.  A vertex
+set is handled as a bitmask over vertex indices wherever it is
+searched or combined.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ class Graph:
     ``neighbors[v]`` as a bitmask over vertex indices, and
     ``_flow_network``, the point-independent part of the flow network
     (``cone._network``).  Membership, decomposition, matching,
-    ``cone_dimension`` and ``affine_hull`` never build ``masks``.
+    ``cone_dimension``, ``affine_hull``, ``face_dimension``,
+    ``is_facet``, ``bipartite_facet_check`` and ``dual_facet`` never
+    build ``masks``.
     Cached views take no part in equality, hashing, ``repr`` or
     pickling.
     """
@@ -85,28 +91,12 @@ class Graph:
             seen.add(edge)
             adjacency[i].append(j)
             adjacency[j].append(i)
-        # Breadth-first search from the lowest unseen vertex colours each
-        # vertex opposite to the one it is reached from, and an edge
-        # between equal colours closes an odd cycle.
-        colour = [-1] * n
         components = []
         bipartitions = []
-        for start in range(n):
-            if colour[start] >= 0:
-                continue
-            colour[start] = 0
-            reached = [start]
-            odd = False
-            for v in reached:  # grows while it is read
-                for w in adjacency[v]:
-                    if colour[w] < 0:
-                        colour[w] = 1 - colour[v]
-                        reached.append(w)
-                    elif colour[w] == colour[v]:
-                        odd = True
+        for reached, colour in _colour_search(adjacency):
             reached.sort()
             components.append(tuple(reached))
-            bipartitions.append(None if odd else (
+            bipartitions.append(None if colour is None else (
                 tuple(v for v in reached if not colour[v]),
                 tuple(v for v in reached if colour[v])))
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in adjacency))
@@ -141,6 +131,35 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
+
+
+def _colour_search(adjacency: Sequence[Sequence[int]]
+                   ) -> Iterator[tuple[list[int], list[int] | None]]:
+    """The components of the graph whose neighbor lists are
+    ``adjacency``, by lowest vertex: each one's vertices in search
+    order, with the colours of all vertices searched so far, or ``None``
+    if the component has an odd cycle.
+
+    Breadth-first search from the lowest unseen vertex colours each
+    vertex opposite to the one it is reached from, and an edge between
+    equal colours closes an odd cycle.  An isolated vertex is a
+    bipartite component of its own.
+    """
+    colour = [-1] * len(adjacency)
+    for start in range(len(adjacency)):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        reached = [start]
+        odd = False
+        for v in reached:  # grows while it is read
+            for w in adjacency[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    reached.append(w)
+                elif colour[w] == colour[v]:
+                    odd = True
+        yield reached, None if odd else colour
 
 
 def parse_graph(text: str) -> Graph:

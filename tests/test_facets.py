@@ -21,7 +21,8 @@ from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      connected_graphs_upto, cycle, disjoint_union,
                      neighbor_halfspace, on_edges, path,
                      random_connected_bipartite, reference_canonical,
-                     reference_facets, spider, standard_battery, star)
+                     reference_facets, seeded_unions, spider, standard_battery,
+                     star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)  # leaves 0,1,2 ; center 3
@@ -124,6 +125,13 @@ def test_edge_rank_equals_elimination_on_random_edge_sets():
             rng.shuffle(on)
             assert _edge_rank(g, on) == rational_rank(
                 [vectors[idx] for idx in on]), (g.edges, on)
+    # every edge subset of every labeled graph on at most 4 vertices
+    for g in (g for n in range(5) for g in all_graphs(n)):
+        vectors = edge_vectors(g)
+        for k in range(len(vectors) + 1):
+            for on in itertools.combinations(range(len(vectors)), k):
+                assert _edge_rank(g, on) == rational_rank(
+                    [vectors[idx] for idx in on]), (g.edges, on)
     # two triangles joined last: 6 touched vertices, no bipartite piece
     bowtie = parse_graph("a b\nb c\nc a\nx y\ny z\nz x\nc x")
     assert _edge_rank(bowtie, range(7)) == 6
@@ -385,6 +393,25 @@ def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):
                         f.generators_on))
     assert [(f.halfspace.plane.tag, f.generators_on) for f in fs] == shifted
     assert len(fs) == 32
+
+
+def test_facets_take_no_rank(monkeypatch):
+    # on a non-bipartite component the split of each candidate decides
+    # it: odd components around a coordinate, or a set linked through
+    # its neighbors with odd components outside them
+    # spider(4) with a triangle at its center
+    centred = build(11, spider(4).edges + ((0, 9), (0, 10), (9, 10)))
+    graphs = [g for g in standard_battery() if not g.is_bipartite()]
+    graphs += list(seeded_unions(150, 7, 12)) + [centred]
+    expected = [reference_facets(g) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("facets took a rank")
+
+    module = importlib.import_module("edgecone.facets")  # the package shadows it
+    monkeypatch.setattr(module, "_edge_rank", refuse)
+    for g, reference in zip(graphs, expected):
+        assert facets(g) == reference, (g.vertex_count, g.edges)
 
 
 def test_facets_of_seeded_unions_match_the_all_sets_route():

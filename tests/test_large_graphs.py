@@ -7,9 +7,11 @@ import tracemalloc
 
 import pytest
 
-from edgecone import (Graph, GraphRequirementError, has_perfect_matching,
-                      integer_decompose, is_independent, membership,
-                      neighbor_set)
+from edgecone import (CoordinateTag, Graph, GraphRequirementError,
+                      IndependentSetTag, bipartite_facet_check,
+                      coordinate_halfspace, dual_facet, face_dimension,
+                      has_perfect_matching, integer_decompose, is_independent,
+                      membership, neighbor_set)
 from battery import build, check_witness, cycle, path, random_connected
 
 
@@ -33,6 +35,25 @@ def test_graph_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 15_000_000
+
+
+def test_bond_checks_build_no_bitmasks():
+    # one bitmask per vertex would hold about 25 MB on this path; the
+    # neighbor lists of the split and the facet's normal take about 3 MB
+    g = path(20_000)
+    tracemalloc.start()
+    try:
+        assert bipartite_facet_check(g, [0])
+        assert not bipartite_facet_check(g, [2])  # leaves vertex 0 apart
+        dual = dual_facet(g, [0])
+        assert face_dimension(g, coordinate_halfspace(g, 0)) == 19_998
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dual.plane.tag == IndependentSetTag(tuple(range(3, 20_000, 2)))
+    assert dual_facet(g, range(2, 20_000, 2)).plane.tag == CoordinateTag(0)
+    assert "masks" not in vars(g)
+    assert peak < 10_000_000
 
 
 def test_long_odd_cycle_membership():
