@@ -17,11 +17,10 @@ Dimensions come from graph combinatorics; elimination is oracle-only.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _independent_set_normals,
-                    bipartite_component_count, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, bipartite_component_count,
+                    check_gate, vertex_set)
 from .rational import Rational, clear_denominators, dot, is_int, is_primitive
 
 SENSE_GE = ">=0"
@@ -132,17 +131,30 @@ class ConeRepresentation:
                 and all(h.margin(point) >= 0 for h in self.halfspaces))
 
 
+# The slot setters of the value classes, bound once: ``_trusted`` and
+# the walk of ``full_representation`` fill in the slots through them,
+# which skips ``__init__``, ``__post_init__`` and the frozen guard.
+_new = object.__new__
+_set_vertices = IndependentSetTag.vertices.__set__
+_set_normal = Hyperplane.normal.__set__
+_set_tag = Hyperplane.tag.__set__
+_set_plane = Halfspace.plane.__set__
+_set_sense = Halfspace.sense.__set__
+
+
 def _trusted(normal: tuple[int, ...], tag: Tag, sense: str) -> Halfspace:
     """``Halfspace(Hyperplane(normal, tag), sense)`` without either
     ``__post_init__``, for the library's own builders: their normals
     have an entry 1, so are primitive, and ``sense`` is the one ``tag``
-    fixes (``>=0`` for a coordinate, ``<=0`` for a set)."""
-    plane = object.__new__(Hyperplane)
-    object.__setattr__(plane, "normal", normal)
-    object.__setattr__(plane, "tag", tag)
-    half = object.__new__(Halfspace)
-    object.__setattr__(half, "plane", plane)
-    object.__setattr__(half, "sense", sense)
+    fixes (``>=0`` for a coordinate, ``<=0`` for a set).  The slots are
+    set through their member descriptors, as ``object.__setattr__``
+    would set them, at half its cost."""
+    plane = _new(Hyperplane)
+    _set_normal(plane, normal)
+    _set_tag(plane, tag)
+    half = _new(Halfspace)
+    _set_plane(half, plane)
+    _set_sense(half, sense)
     return half
 
 
@@ -207,13 +219,48 @@ def full_representation(g: Graph,
     one halfspace per nonempty independent set, plus the affine hull.
 
     Halfspaces are ordered coordinates-by-index first, then independent
-    sets lexicographically.
+    sets lexicographically.  Refuses graphs above the vertex gate.
+
+    One depth-first walk lists the sets in that order, so none is
+    sorted: a set's children add one vertex above its last member and
+    outside its members' neighbors, and are pushed highest vertex first,
+    so the lowest comes off the stack first and the preorder is the
+    lexicographic order of the tuples.  Each set carries the normal
+    of its halfspace, 1 on the members, -1 on their neighbors and 0
+    elsewhere; a child copies its parent's and marks the new member and
+    the neighbors it adds, so a halfspace costs one copy of a vector of
+    length ``n``, a few bit operations and its value objects, which are
+    built through the slot setters of ``_trusted``.
     """
-    coords = [coordinate_halfspace(g, v) for v in range(g.vertex_count)]
-    sets = [_trusted(normal, IndependentSetTag(members), SENSE_LE)
-            for members, normal in sorted(_independent_set_normals(g, max_vertices),
-                                          key=itemgetter(0))]
-    return ConeRepresentation(affine_hull(g), tuple(coords + sets), "full")
+    check_gate(g, max_vertices)
+    n = g.vertex_count
+    masks = g.masks
+    halfspaces = [coordinate_halfspace(g, v) for v in range(n)]
+    # (members, normal, members and their neighbors, vertices that may join)
+    stack = [((), (0,) * n, 0, (1 << n) - 1)]
+    while stack:
+        members, normal, near, free = stack.pop()
+        if members:
+            tag = _new(IndependentSetTag)
+            _set_vertices(tag, members)
+            halfspaces.append(_trusted(normal, tag, SENSE_LE))
+        rest = free
+        while rest:
+            w = rest.bit_length() - 1
+            top = 1 << w
+            rest ^= top
+            child = [*normal]
+            child[w] = 1
+            added = masks[w] & ~near
+            child_near = near | top | added
+            while added:
+                bit = added & -added
+                added ^= bit
+                child[bit.bit_length() - 1] = -1
+            # the child may grow by the free vertices above w outside its near
+            stack.append((members + (w,), tuple(child), child_near,
+                          free & -(top << 1) & ~child_near))
+    return ConeRepresentation(affine_hull(g), tuple(halfspaces), "full")
 
 
 @dataclass(frozen=True)

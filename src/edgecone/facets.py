@@ -169,14 +169,15 @@ def _all_odd(masks: Sequence[int], part: int) -> bool:
     return True
 
 
-def _linked(masks: Sequence[int], a: int) -> bool:
+def _linked(two: Sequence[int], a: int) -> bool:
     """Whether the members of the vertex bitmask ``a``, an independent
     set with no isolated vertex, are linked through common neighbors:
     whether the edges between ``a`` and its neighbors form a connected
-    graph."""
+    graph.  ``two[v]`` is the bitmask of the vertices two steps from
+    ``v``, the union of its neighbors' masks."""
     reached = frontier = a & -a
     while frontier:
-        frontier = _union(masks, _union(masks, frontier)) & a & ~reached
+        frontier = _union(two, frontier) & a & ~reached
         reached |= frontier
     return reached == a
 
@@ -315,6 +316,9 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
                 x |= side
         return tuple(_members(x))
 
+    # the vertices two steps from each vertex, for _linked; only a
+    # non-bipartite component, whose side 1 is 0, reads it
+    two = [_union(masks, m) for m in masks] if 0 in firsts else None
     chosen = []
     for component, side1 in zip(g.components, firsts):
         universe = sum(1 << v for v in component)
@@ -332,11 +336,14 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
         chosen += [CoordinateTag(v) for v in component
                    if _all_odd(masks, universe & ~(1 << v))]
         chosen += [IndependentSetTag(grown(a, 0)) for a, na in _closed_sets(masks, universe)
-                   if _linked(masks, a) and _all_odd(masks, universe & ~(a | na))]
-    halfspaces = [_halfspace(g, tag) for tag in sorted(chosen, key=_tag_sort_key)]
-    return tuple(Facet(h, tuple(idx for idx, (i, j) in enumerate(g.edges)
-                                if h.plane.normal[i] + h.plane.normal[j] == 0))
-                 for h in halfspaces)
+                   if _linked(two, a) and _all_odd(masks, universe & ~(a | na))]
+    out = []
+    for tag in sorted(chosen, key=_tag_sort_key):
+        h = _halfspace(g, tag)
+        normal = h.plane.normal
+        out.append(Facet(h, tuple([idx for idx, (i, j) in enumerate(g.edges)
+                                   if normal[i] + normal[j] == 0])))
+    return tuple(out)
 
 
 def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
@@ -396,8 +403,10 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     members, half = _bond_half(g, a)
     if half is None:
         raise ValueError(f"vertex set {members} does not cut a facet")
-    rest = sum(1 << v for v in range(g.vertex_count) if v not in half)
-    return _halfspace(g, _bond_tag(rest, sum(1 << v for v in g.bipartitions[0][1])))
+    rest = [v for v in range(g.vertex_count) if v not in half]
+    if len(rest) == 1:
+        return coordinate_halfspace(g, rest[0])
+    return _set_halfspace(g, tuple(v for v in g.bipartitions[0][1] if v not in half))
 
 
 def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator[int]:
@@ -428,10 +437,24 @@ def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator
     ``I + v`` closed and ``O + v``, live iff ``v`` is in ``C``.  With no
     such ``v``, every component of ``G - I`` meets ``O``, so ``S = I``.
     The root ``r = min S`` starts from ``{r}`` closed, with the vertices
-    below ``r`` in ``O``.  The depth is at most ``n`` and a node costs at
-    most two bitmask searches, so the delay is ``O(n (n + m))``.  Roots
-    and ``O`` stay inside ``universe``, and an isolated vertex has no
-    bond.
+    below ``r`` in ``O``.  Roots and ``O`` stay inside ``universe``, and
+    an isolated vertex has no bond.
+
+    Once ``O`` is nonempty, a live node moves every vertex of ``G - I``
+    outside ``C`` into ``I`` at once.  In every bond ``(S, T)`` below
+    it, ``T`` is connected, misses ``I`` and holds ``O``, so it lies
+    inside ``C``, and ``S`` holds ``V - C``.  The moved set keeps ``I``
+    closed, for a side-1 vertex outside ``C`` has no neighbor in ``C``,
+    and connected, for each of its components is next to ``I``.  Then
+    ``V = I + C``, every ``v`` next to ``I`` lies in ``C``, and the child
+    ``O + v`` is live and costs no search.  Without the move, a node
+    whose ``v`` lies outside ``C`` has the one live child ``I + v``, and
+    on a path such single-child chains, one search each, made the walk
+    cost ``Θ(n^3)``; with it the path's walk visits ``O(n)`` nodes.
+    A live node with a frontier has a live child, ``O + v``, so a bond
+    lies at most ``n`` levels below any node; a node costs at most two
+    searches and a union, ``O(n + m)`` bitmask operations, so the delay
+    is ``O(n (n + m))``.
     """
 
     def grow(inner: int, near: int, bit: int) -> tuple[int, int]:
@@ -447,7 +470,13 @@ def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator
         if inner & outer or not rest:
             return None
         component = _reach(masks, outer & -outer, rest)
-        return None if outer & ~component else (inner, near, outer, component)
+        if outer & ~component:
+            return None
+        forced = rest & ~component
+        if outer and forced:  # every bond below puts them in S
+            inner |= forced
+            near |= forced | _union(masks, forced)
+        return inner, near, outer, component
 
     roots = (live(*grow(0, 0, 1 << r), universe & ((1 << r) - 1)) for r in _members(universe))
     stack = [node for node in roots if node]

@@ -8,9 +8,14 @@ last two by ``_colour_search``, the one search for components and odd
 cycles over neighbor lists; the rank of a face and the bond test of
 ``bipartite_facet_check`` and ``dual_facet`` run it on subgraphs.  Two
 cached views are built on first use and then only read: the adjacency
-bitmasks, built by the first walk over vertex bitmasks (independent
-sets, facets, the canonical representation), and the arcs of the flow
-network that membership, decomposition and matching route on.
+bitmasks, and the arcs of the flow network that membership,
+decomposition and matching route on.  The first walk over vertex
+bitmasks builds the masks: the level walk of ``independent_sets``,
+which yields each set as it is built, by size and then in
+lexicographic order; the depth-first walk of ``full_representation``,
+which reaches the sets in lexicographic order and so sorts none; or
+the bond and closed-set walks of ``facets`` and the canonical
+representation.
 Decision calls, face dimensions and bond tests never build the
 bitmasks.  So instances are safe to share between threads.  A vertex
 set is handled as a bitmask over vertex indices wherever it is
@@ -276,49 +281,28 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
 
     Order is deterministic: by cardinality, then lexicographically.  The
     empty set is excluded (its supporting hyperplane is degenerate and
-    contributes nothing).  Each set costs a few bit operations and a
-    copy of its parent's normal, so the work follows the number of sets,
-    not ``2**n``.  Refuses graphs above the vertex gate.
+    contributes nothing).  Each set costs a few bit operations, so the
+    work follows the number of sets, not ``2**n``.  Refuses graphs above
+    the vertex gate.
     """
-    for members, _ in _independent_set_normals(g, max_vertices):
-        yield members
-
-
-def _independent_set_normals(g: Graph, max_vertices: int
-                             ) -> Iterator[tuple[VertexSet, tuple[int, ...]]]:
-    """The walk behind ``independent_sets``: each set in the same order,
-    with the normal of its halfspace, 1 on the members, -1 on their
-    neighbors and 0 elsewhere."""
     check_gate(g, max_vertices)
-    n = g.vertex_count
     masks = g.masks
-    # Each set carries its normal, the bitmask ``near`` of its members
-    # and their neighbors, and the bitmask of vertices that may still
-    # join it: above its last member and outside ``near``, which is the
-    # independence check.  A child copies its parent's normal and marks
-    # the new member and the neighbors it adds.  Extending a level in
-    # order, lowest vertex first, keeps the next level in lexicographic
-    # order.
-    level = [((), (0,) * n, 0, (1 << n) - 1)]
+    # Each set carries the bitmask of vertices that may still join it:
+    # above its last member and outside its members' neighbors, which is
+    # the independence check.  The sets of one level are extended in
+    # order, lowest vertex first, so the next level comes out in
+    # lexicographic order too, and each set is yielded as it is built.
+    level = [((), (1 << g.vertex_count) - 1)]
     while level:
         extended = []
-        for members, normal, near, free in level:
-            if members:
-                yield members, normal
+        for members, free in level:
             while free:
                 low = free & -free
                 free ^= low
                 w = low.bit_length() - 1
-                child = [*normal]
-                child[w] = 1
-                added = masks[w] & ~near
-                child_near = near | low | added
-                while added:
-                    bit = added & -added
-                    added ^= bit
-                    child[bit.bit_length() - 1] = -1
-                extended.append((members + (w,), tuple(child), child_near,
-                                 free & ~child_near))
+                child = members + (w,)
+                yield child
+                extended.append((child, free & ~masks[w]))
         level = extended
 
 

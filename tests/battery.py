@@ -18,9 +18,11 @@ from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
                       face_dimension, facets, full_representation,
                       has_perfect_matching, independent_set_halfspace,
                       independent_sets, integer_decompose, is_independent,
-                      membership, neighbor_set)
+                      membership, neighbor_set, remove_redundant)
 from edgecone import oracle
 from edgecone.cone import SENSE_LE, Halfspace, Hyperplane
+from edgecone.facets import _reach
+from edgecone.graph import _members, _union
 from edgecone.rational import dot, integer_kernel, integer_rref, primitive
 
 
@@ -540,20 +542,22 @@ def checked_rebuild(h: Halfspace) -> Halfspace:
     return Halfspace(Hyperplane(h.plane.normal, h.plane.tag), h.sense)
 
 
-def library_halfspaces(g: Graph) -> list[tuple[str, Halfspace]]:
+def library_halfspaces(g: Graph, full: ConeRepresentation,
+                       found: tuple[Facet, ...]) -> list[tuple[str, Halfspace]]:
     """The halfspaces the library builds on ``g`` without the
     constructor checks, each with the function that returned it, those
-    of ``full_representation`` first: every halfspace of
-    ``full_representation``, ``facets`` and (on a connected bipartite
-    graph with an edge) ``canonical_representation``; the last vertex's
+    of ``full_representation`` first: every halfspace of ``full``,
+    which is ``full_representation(g)``, of ``found``, which is
+    ``facets(g)``, and (on a connected bipartite graph with an edge) of
+    ``canonical_representation``; the last vertex's
     ``coordinate_halfspace`` and ``independent_set_halfspace``; and the
     witnesses of ``membership`` on a negative, a lone positive and the
     all-ones point, of ``integer_decompose`` on the lone positive one,
     and of ``has_perfect_matching`` as its violator's halfspace."""
     n = g.vertex_count
     bipartite = g.is_bipartite()
-    out = [("full_representation", h) for h in full_representation(g).halfspaces]
-    out += [("facets", f.halfspace) for f in facets(g)]
+    out = [("full_representation", h) for h in full.halfspaces]
+    out += [("facets", f.halfspace) for f in found]
     if g.edges and bipartite and g.is_connected():
         out += [("canonical_representation", h)
                 for h in canonical_representation(g).halfspaces]
@@ -569,6 +573,116 @@ def library_halfspaces(g: Graph) -> list[tuple[str, Halfspace]]:
         if violator is not None:
             out.append(("has_perfect_matching", independent_set_halfspace(g, violator)))
     return [(source, h) for source, h in out if h is not None]
+
+
+def check_library_halfspaces(g: Graph, full: ConeRepresentation,
+                             found: tuple[Facet, ...]) -> None:
+    """Assert that every halfspace of ``library_halfspaces`` passes the
+    constructor checks it skipped.  ``independent_set_halfspace`` takes
+    the unchecked path too, so the set halfspaces of ``full`` are
+    compared with ``neighbor_halfspace``, a checked construction (the
+    tests of ``full_representation`` pin their tags to the sorted
+    independent sets), and every other halfspace with its rebuild."""
+    n = g.vertex_count
+    built = library_halfspaces(g, full, found)
+    end = sum(source == "full_representation" for source, _ in built)
+    sets = [h for _, h in built[n:end]]
+    assert sets == [neighbor_halfspace(g, h.plane.tag.vertices) for h in sets], g.edges
+    for source, h in built[:n] + built[end:]:
+        assert checked_rebuild(h) == h, (source, g.edges, h)
+
+
+def check_full_sets(g: Graph, full: ConeRepresentation) -> None:
+    """Assert that the set halfspaces of ``full``, which the walk builds
+    each from its parent's normal, are what the one-set-at-a-time
+    construction gives, in the order of the sorted independent sets."""
+    assert list(full.halfspaces[g.vertex_count:]) == [
+        independent_set_halfspace(g, a) for a in sorted(independent_sets(g))], g.edges
+
+
+def check_all_sets_route(g: Graph, full: ConeRepresentation,
+                         found: tuple[Facet, ...]) -> None:
+    """Assert that ``found``, which is ``facets(g)``, and on a connected
+    bipartite graph with an edge ``canonical_representation`` and
+    ``remove_redundant`` of ``full``, equal the all-sets route."""
+    assert found == reference_facets(g), (g.vertex_count, g.edges)
+    if g.edges and g.is_connected() and g.is_bipartite():
+        reference = reference_canonical(g)
+        assert canonical_representation(g) == reference, g.edges
+        assert remove_redundant(g, full) == reference, g.edges
+
+
+@lru_cache(maxsize=None)
+def labelled_graph_failures() -> dict[str, list]:
+    """One pass over every labelled graph on at most 6 vertices, shared
+    by three exhaustive tests: each graph, its ``full_representation``
+    and its ``facets`` are built once and handed to the checks that
+    cover it.  Returns the failures of each check, as ``(vertex count,
+    edges, assertion message)``, by name:
+
+    - ``"constructor"``: ``check_library_halfspaces``, on every graph;
+    - ``"full"``: ``check_full_sets``, on every graph;
+    - ``"all_sets"``: ``check_all_sets_route``, on every graph on at
+      most 5 vertices (isolated vertices and disconnected graphs
+      included), and on the 6-vertex graphs that are connected and
+      bipartite, that have two or more components holding an edge, or
+      that fall in a seeded sample of 1,500.
+    """
+    failures: dict[str, list] = {"constructor": [], "full": [], "all_sets": []}
+    sample = set(random.Random(6).sample(range(1 << 15), 1500))  # 15 vertex pairs
+    for n in range(7):
+        for bits, g in enumerate(all_graphs(n)):
+            full, found = full_representation(g), facets(g)
+            checks = [("constructor", check_library_halfspaces, (g, full, found)),
+                      ("full", check_full_sets, (g, full))]
+            if (n < 6 or bits in sample or g.is_connected() and g.is_bipartite()
+                    or sum(len(c) > 1 for c in g.components) >= 2):
+                checks.append(("all_sets", check_all_sets_route, (g, full, found)))
+            for name, check, args in checks:
+                try:
+                    check(*args)
+                except AssertionError as error:
+                    failures[name].append((n, g.edges, error.args))
+    return failures
+
+
+def reference_directed_bonds(masks, side1: int, universe: int):
+    """The flashlight search of ``facets._directed_bonds`` without its
+    forced move: the same directed bonds of the connected bipartite
+    component ``universe``, as bitmasks of ``S``, but a node whose
+    frontier vertex lies outside ``C`` steps to ``I + v`` alone, one
+    search per step.  Kept only to compare the library's walk
+    against."""
+
+    def grow(inner, near, bit):
+        v = bit.bit_length() - 1
+        if bit & side1:
+            return inner | bit | masks[v], near | masks[v] | _union(masks, masks[v])
+        return inner | bit, near | bit | masks[v]
+
+    def live(inner, near, outer):
+        rest = universe & ~inner
+        if inner & outer or not rest:
+            return None
+        component = _reach(masks, outer & -outer, rest)
+        return None if outer & ~component else (inner, near, outer, component)
+
+    roots = (live(*grow(0, 0, 1 << r), universe & ((1 << r) - 1)) for r in _members(universe))
+    stack = [node for node in roots if node]
+    while stack:
+        inner, near, outer, component = stack.pop()
+        frontier = near & ~inner & ~outer
+        if not frontier:
+            yield inner
+            continue
+        bit = frontier & -frontier
+        if not outer:
+            component = _reach(masks, bit, universe & ~inner)
+        if bit & component:
+            stack.append((inner, near, outer | bit, component))
+        node = live(*grow(inner, near, bit), outer)
+        if node:
+            stack.append(node)
 
 
 def on_edges(g: Graph, h) -> tuple[int, ...]:

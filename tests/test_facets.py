@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -14,15 +16,15 @@ from edgecone import (CoordinateTag, EnumerationGateError, GraphRequirementError
                       independent_sets, is_facet, membership, neighbor_set,
                       parse_graph, rational_rank, remove_redundant)
 from edgecone.cone import Hyperplane
-from edgecone.facets import _edge_rank
+from edgecone.facets import _directed_bonds, _edge_rank
 from edgecone.rational import dot
 from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      combinatorial_facet_sets, complete_bipartite,
                      connected_graphs_upto, cycle, disjoint_union,
-                     neighbor_halfspace, on_edges, path,
+                     labelled_graph_failures, neighbor_halfspace, on_edges, path,
                      random_connected_bipartite, reference_canonical,
-                     reference_facets, seeded_unions, spider, standard_battery,
-                     star)
+                     reference_directed_bonds, reference_facets, seeded_unions,
+                     spider, standard_battery, star)
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)  # leaves 0,1,2 ; center 3
@@ -334,19 +336,71 @@ def test_closed_sets_match_the_all_sets_route_exhaustively():
     # every labeled graph on at most 5 vertices (isolated vertices and
     # disconnected graphs included), every connected bipartite one on 6,
     # every 6-vertex one with two or more components that hold an edge
-    # and a seeded sample of other 6-vertex ones
-    graphs = [g for n in range(6) for g in all_graphs(n)]
-    graphs += [g for g in all_graphs(6) if g.is_connected() and g.is_bipartite()
-               or sum(len(c) > 1 for c in g.components) >= 2]
-    pairs = list(itertools.combinations(range(6), 2))
-    for bits in random.Random(6).sample(range(1 << len(pairs)), 1500):
-        graphs.append(build(6, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+    # and a seeded sample of other 6-vertex ones, in the pass shared
+    # with two other exhaustive tests
+    assert labelled_graph_failures()["all_sets"] == []
+
+
+def test_structure_outputs_are_pinned():
+    """sha256 over ``repr`` of ``full_representation``, ``facets`` and
+    the list of ``independent_sets`` of each graph below, then of
+    ``remove_redundant`` and ``canonical_representation`` where they
+    apply.  The digest was taken before the walks of
+    ``full_representation``, ``independent_sets`` and
+    ``_directed_bonds`` were rewritten for speed: any change to an
+    output, or to its order, shows here."""
+    graphs = (standard_battery() + bipartite_battery() + seeded_unions(60, 7, 12)
+              + tuple(g for n in range(6) for g in all_graphs(n)))
+    digest = hashlib.sha256()
     for g in graphs:
-        assert facets(g) == reference_facets(g), (g.vertex_count, g.edges)
-        if g.edges and g.is_connected() and g.is_bipartite():
-            reference = reference_canonical(g)
-            assert canonical_representation(g) == reference, g.edges
-            assert remove_redundant(g, full_representation(g)) == reference, g.edges
+        full = full_representation(g)
+        outputs = [full, facets(g), list(independent_sets(g))]
+        if g.vertex_count and g.is_connected() and g.is_bipartite():
+            outputs.append(remove_redundant(g, full))
+            if g.edges:
+                outputs.append(canonical_representation(g))
+        digest.update(repr(outputs).encode())
+    assert len(graphs) == 2766
+    assert digest.hexdigest() == \
+        "6b16d614839a65321635e0fb8c8d5f0702f3f93094db649e9bbc907fa7d966e6"
+
+
+def test_bond_walk_matches_the_walk_without_forced_moves():
+    # the forced move changes the nodes the walk visits, not the bonds it
+    # lists: the same bonds, each once, on the connected bipartite
+    # battery, on random connected bipartite graphs up to 40 vertices and
+    # on the bipartite components of disjoint unions
+    walks = [(g.masks, g.bipartitions[0][0], g.components[0])
+             for g in bipartite_battery() if g.is_connected()]
+    rng = random.Random(26)
+    for n in range(8, 41, 4):
+        for degree in (1.5, 2.5, 4):
+            g = random_connected_bipartite(n, rng, degree / n)
+            walks.append((g.masks, g.bipartitions[0][0], g.components[0]))
+    for g in seeded_unions(100, 26, 16):
+        walks += [(g.masks, sides[0], component)
+                  for component, sides in zip(g.components, g.bipartitions) if sides]
+    for masks, side1, component in walks:
+        side1, universe = sum(1 << v for v in side1), sum(1 << v for v in component)
+        assert sorted(_directed_bonds(masks, side1, universe)) == \
+            sorted(reference_directed_bonds(masks, side1, universe)), (side1, universe)
+
+
+def test_long_path_takes_seconds():
+    # without the forced move the bond walk took time cubic in the
+    # length of a path: 20 s for these facets on a 2-vCPU VM
+    g = path(1000)
+    start = time.perf_counter()
+    found = facets(g, max_vertices=1000)
+    canonical = canonical_representation(g, max_vertices=1000)
+    elapsed = time.perf_counter() - start
+    # each facet holds every edge but one, a different one each time
+    edges = set(range(999))
+    assert sorted(tuple(edges.difference(f.generators_on)) for f in found) == \
+        [(k,) for k in range(999)]
+    assert sorted(on_edges(g, h) for h in canonical.halfspaces) == \
+        sorted(f.generators_on for f in found)
+    assert elapsed < 6, elapsed
 
 
 def test_facets_of_connected_bipartite_graphs_take_no_rank(monkeypatch):

@@ -191,5 +191,5 @@ def test_full_representation_sets_equal_independent_set_halfspaces(g):
 @PROPERTY
 @given(st.one_of(graphs(), graphs(bipartite=True), connected_bipartite_graphs()))
 def test_library_halfspaces_pass_the_constructor_checks(g):
-    for source, h in library_halfspaces(g):
+    for source, h in library_halfspaces(g, full_representation(g), facets(g)):
         assert checked_rebuild(h) == h, source

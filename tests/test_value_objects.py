@@ -18,28 +18,19 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 from edgecone import (ComponentTag, CoordinateTag, IndependentSetTag, facets,
-                      independent_set_halfspace)
-from battery import (all_graphs, bipartite_battery, checked_rebuild, library_halfspaces,
-                     neighbor_halfspace, standard_battery, star)
+                      full_representation, independent_set_halfspace)
+from battery import (bipartite_battery, check_library_halfspaces, labelled_graph_failures,
+                     standard_battery, star)
 
 K13 = star(3)  # leaves 0,1,2 ; center 3
 
 
 def test_library_halfspaces_pass_the_constructor_checks():
-    graphs = (standard_battery() + bipartite_battery()
-              + tuple(g for n in range(7) for g in all_graphs(n)))
-    for g in graphs:
-        n = g.vertex_count
-        built = library_halfspaces(g)
-        end = sum(source == "full_representation" for source, _ in built)
-        # independent_set_halfspace takes the unchecked path too, so the
-        # set halfspaces of full_representation are compared with a
-        # checked construction (test_cone pins their tags to the sorted
-        # independent sets), and every other halfspace with its rebuild
-        sets = [h for _, h in built[n:end]]
-        assert sets == [neighbor_halfspace(g, h.plane.tag.vertices) for h in sets], g.edges
-        for source, h in built[:n] + built[end:]:
-            assert checked_rebuild(h) == h, (source, g.edges, h)
+    for g in standard_battery() + bipartite_battery():
+        check_library_halfspaces(g, full_representation(g), facets(g))
+    # every labelled graph on at most 6 vertices, in the pass shared
+    # with two other exhaustive tests
+    assert labelled_graph_failures()["constructor"] == []
 
 
 def slotted_samples() -> dict:
