@@ -16,7 +16,7 @@ class EdgeListParseError(ValueError):
 
 class EnumerationGateError(RuntimeError):
     """Raised when exponential work would pass a gate: the vertex gate,
-    the oracle's generator or dimension gate, or Fourier-Motzkin blowup."""
+    or the oracle's generator or dimension gate."""
 
 
 class GraphRequirementError(ValueError):

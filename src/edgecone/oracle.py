@@ -1,25 +1,26 @@
 """Brute-force polyhedral ground truth, independent of the graph theory.
 
-Two generator-only computations cross-check every combinatorial answer
-in the package:
+One generator-only computation cross-checks every combinatorial answer
+in the package.  ``_double_description`` turns the generators into the
+cone's facets and a halfspace description of it by the double
+description method, and caches both per generator tuple and width (for
+the most recent ``_CACHE_SIZE`` pairs):
 
-* ``fm_membership`` decides cone membership by eliminating the
-  multiplier variables of ``sum_i t_i g_i = x, t >= 0`` — equalities by
-  exact substitution, the remaining multipliers by Fourier-Motzkin
-  combination in index order.  The surviving rows describe the cone in
-  point space and are cached per generator tuple (for the most recent
-  ``_CACHE_SIZE`` tuples);
-* ``brute_force_facets`` reads the facet hyperplanes off those same
-  rows, not off generator subsets: a row whose on-generators have rank
-  d - 1 supports a facet.  It knows nothing about graphs.
+* ``brute_force_facets`` and ``brute_force_facet_generator_sets`` read
+  the facets, not generator subsets;
+* ``fm_membership`` decides cone membership against the rows: a point
+  is in the cone iff it meets every facet normal and every span
+  equation.
+
+It knows nothing about graphs.
 
 Every entry point takes its generators through ``_intake``, which
 checks the generator-count gate before reading any entry, then the
 width and the dimension gate, and then passes each generator through
 ``clear_denominators``; a point passes ``clear_denominators`` before
-any elimination.  A positive rescale of a generator leaves the cone
-and the generator indices unchanged.  From there on all arithmetic,
-elimination included, is on integers.
+the cone is computed.  A positive rescale of a generator leaves the
+cone and the generator indices unchanged.  From there on all
+arithmetic, elimination included, is on integers.
 
 The gates here are deliberately tight: the oracle exists for
 verification, not production.
@@ -27,7 +28,6 @@ verification, not production.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +43,7 @@ from .rational import (Rational, clear_denominators, dot, integer_kernel,
 
 ORACLE_MAX_GENERATORS = 24
 ORACLE_MAX_DIMENSION = 10
-_ROW_LIMIT = 200_000  # safety valve against Fourier-Motzkin blowup
-_CACHE_SIZE = 128  # generator tuples whose facets or projection rows are kept
+_CACHE_SIZE = 128  # (generator tuple, width) pairs whose facets and rows are kept
 _COMBINATIONS, _RANDOM_POINTS, _SEED = 25, 25, 0  # cross_validate's point battery
 
 
@@ -73,44 +72,95 @@ def _intake(generators, width: int | None = None) -> tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _facet_data(generators: tuple[tuple[int, ...], ...]):
-    """(inward primitive normal, on-generator indices) per facet.
+def _double_description(generators: tuple[tuple[int, ...], ...], width: int):
+    """(facet data, membership rows) of the cone the generators span.
 
-    Read off the rows ``r . x >= 0`` of ``_projection_rows``.  Every
-    facet-defining inequality appears among the rows of any
-    H-description of the cone.  A face is the cone of the generators it
-    vanishes on, so a row's on-set identifies its face, and the face is
-    a facet exactly when the on-set has rank d - 1 (d = rank of the
-    generators); that rejects rows that support only a lower face.
+    The facet data is the sorted (inward primitive normal, on-generator
+    indices) of every facet; the rows ``r`` are every extreme ray's
+    normal and each span equation with both signs, so x lies in the
+    cone iff ``r . x >= 0`` for every row.  ``width`` comes from the
+    caller, so generators of an edgeless graph still give the equations
+    ``x_v = 0``.
 
-    The rows that vanish on every generator are the span's equations:
-    the cone's implicit equalities, so they span the orthogonal
-    complement of the span.  The kernel of the on-generators stacked
-    over those equations is therefore the set of vectors inside the
-    span orthogonal to the on-set, of dimension d minus the on-set's
-    rank.  It is one-dimensional exactly when the on-set has rank
-    d - 1, so ``integer_kernel`` returning None is the rank test (it
-    rejects the equations' own on-set, of rank d), and its primitive
-    vector is the normal.  An on-set of zero generators alone is the
-    apex: it is a facet only of a ray (d = 1), which counts none.
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996).  ``integer_rref`` gives a basis
+    ``b_1..b_d`` of the span, and ``integer_kernel`` the equations, the
+    complement of its row space.  A normal inside the span is
+    ``sum_k c_k b_k``; it is >= 0 on generator ``g`` iff ``a_g . c >= 0``
+    with ``a_g = (b_k . g)_k``.  The ``a_g`` span all d coordinates, so
+    that cone of ``c`` is pointed, and its extreme rays are the
+    facets' normals.  It starts as the simplicial cone of the first d
+    independent generators, whose rays come from ``integer_kernel``;
+    each further generator, in index order, keeps the rays on its
+    nonnegative side and joins each adjacent pair ``p``, ``n`` across it
+    by ``primitive(<a, p> n - <a, n> p)``.  Two rays are adjacent when
+    their common zero set has at least d - 2 rows and no third ray's
+    zero set contains it.  Zero sets are generator bitmasks, counted by
+    ``int.bit_count`` (Python 3.10, the package's floor).  Each ray maps
+    back to ``primitive(sum_k c_k b_k)``, its zero set is its on-set,
+    and for d = 1 the one ray is the apex, no facet.
+
+    No valve on the ray count is needed: every intermediate cone is
+    pointed, of dimension d <= 10 with at most 24 facets, so by the
+    upper bound theorem (McMullen 1970) it has at most
+    2 * C(19, 4) = 7,752 rays within the gates.
     """
-    width = len(generators[0]) if generators else 0
-    rows = _projection_rows(generators, width)
-    on_sets = [tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
-               for row in rows]
-    equations = [row for row, on in zip(rows, on_sets)
-                 if len(on) == len(generators)]
+    reduced, pivots = integer_rref(generators, width)
+    d = len(pivots)
+    basis = [primitive(row) for row in reduced]
+    free = [j for j in range(width) if j not in pivots]
+    rows = []
+    for f in free:
+        units = [tuple(int(k == j) for k in range(width)) for j in free if j != f]
+        equation = integer_kernel(basis + units, width)
+        rows += [equation, tuple(-c for c in equation)]
+    coords = [tuple(dot(b, g) for b in basis) for g in generators]
+
+    # the pivot columns of the generators as columns: the first d
+    # independent ones in index order
+    simplicial = integer_rref(list(zip(*coords)), len(coords))[1]
+    rays = []  # (ray, bitmask of the added generators it vanishes on)
+    for i in simplicial:
+        others = [k for k in simplicial if k != i]
+        ray = integer_kernel([coords[k] for k in others], d)
+        if dot(coords[i], ray) < 0:
+            ray = tuple(-c for c in ray)
+        rays.append((ray, sum(1 << k for k in others)))
+    for i, a in enumerate(coords):
+        if i in simplicial:
+            continue
+        values = [dot(a, ray) for ray, _ in rays]
+        zeros = [zero for _, zero in rays]
+        kept = [(ray, zero | 1 << i if value == 0 else zero)
+                for (ray, zero), value in zip(rays, values) if value >= 0]
+        positive = [k for k, value in enumerate(values) if value > 0]
+        negative = [k for k, value in enumerate(values) if value < 0]
+        for p in positive:
+            for n in negative:
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < d - 2 or any(
+                        zero & common == common
+                        for k, zero in enumerate(zeros) if k != p and k != n):
+                    continue
+                joined = [values[p] * y - values[n] * x
+                          for x, y in zip(rays[p][0], rays[n][0])]
+                kept.append((primitive(joined), common | 1 << i))
+        rays = kept
+
     found = []
-    for on in set(on_sets):
-        if not any(any(generators[i]) for i in on):  # the apex
-            continue
-        normal = integer_kernel([generators[i] for i in on] + equations, width)
-        if normal is None:
-            continue
-        if all(dot(normal, g) <= 0 for g in generators):
-            normal = tuple(-c for c in normal)
-        found.append((normal, on))
-    return tuple(sorted(found))
+    for ray, zero in rays:
+        normal = primitive([dot(ray, column) for column in zip(*basis)])
+        rows.append(normal)
+        if d > 1:  # for d = 1 the cone is a ray, and this is its apex
+            found.append((normal, tuple(k for k in range(len(generators))
+                                        if zero >> k & 1)))
+    return tuple(sorted(found)), tuple(rows)
+
+
+def _facet_data(generators: tuple[tuple[int, ...], ...]):
+    """(inward primitive normal, on-generator indices) per facet, of
+    generators of the first generator's width."""
+    return _double_description(generators, len(generators[0]) if generators else 0)[0]
 
 
 def _is_unit_vector(normal: tuple[int, ...]) -> bool:
@@ -137,89 +187,18 @@ def brute_force_facet_generator_sets(generators) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(on) for _, on in _facet_data(_intake(generators)))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _projection_rows(generators: tuple[tuple[int, ...], ...],
-                     dimension: int) -> tuple[tuple[int, ...], ...]:
-    """Rows r with: x in cone(generators) iff r . x >= 0 for every row."""
-    q = len(generators)
-    n = dimension
-    # Equalities sum_i t_i g_i[v] - x_v = 0 over columns (t_0..t_{q-1}, x_0..x_{n-1}).
-    equalities = []
-    for v in range(n):
-        row = [g[v] for g in generators] + [0] * n
-        row[q + v] = -1
-        equalities.append(row)
-    reduced, pivots = integer_rref(equalities, q + n)
-
-    outputs: set[tuple[int, ...]] = set()
-    pivot_rows: dict[int, list[int]] = {}
-    for row, piv in zip(reduced, pivots):
-        if piv < q:
-            pivot_rows[piv] = row
-        else:
-            # No multipliers left: an equality purely between coordinates.
-            eq = primitive(row[q:])
-            outputs.add(eq)
-            outputs.add(tuple(-c for c in eq))
-    free = [i for i in range(q) if i not in pivot_rows]
-    rows: dict[tuple[int, ...], frozenset[int]] = {}
-    for i in range(q):
-        if i in pivot_rows:
-            # t_i >= 0 with t_i substituted from its equality row, whose
-            # pivot entry is positive.  Each equality has -1 in its own
-            # coordinate column, so every reduced row, a nonzero
-            # combination of them, has a nonzero coordinate part.
-            src = pivot_rows[i]
-            row = primitive([-src[j] for j in free] + [-c for c in src[q:]])
-        else:
-            row = tuple(int(j == i) for j in free) + (0,) * n
-        if not any(row[:len(free)]):
-            outputs.add(row[len(free):])
-        elif row not in rows:
-            rows[row] = frozenset([i])
-
-    # A kept row is zero in every eliminated column and nonzero in a
-    # later one, so no row is left after the last column.
-    for col in range(len(free)):
-        positive, negative, kept = [], [], {}
-        for row, ancestors in rows.items():
-            if row[col] > 0:
-                positive.append((row, ancestors))
-            elif row[col] < 0:
-                negative.append((row, ancestors))
-            else:
-                kept[row] = ancestors
-        built = len(kept)  # rows of this step's system, carried or combined
-        for (prow, panc), (nrow, nanc) in itertools.product(positive, negative):
-            ancestors = panc | nanc
-            # Imbert's bound: wider ancestries are provably redundant.
-            if len(ancestors) > col + 2:
-                continue
-            built += 1
-            if built > _ROW_LIMIT:
-                raise EnumerationGateError(
-                    f"Fourier-Motzkin blowup: {built} rows built while "
-                    f"eliminating multiplier {col + 1} of {len(free)}")
-            combo = [prow[col] * b - nrow[col] * a for a, b in zip(prow, nrow)]
-            # nonzero: kept rows r and -r make an equation, and equations have no t part
-            row = primitive(combo)
-            if not any(row[:len(free)]):
-                outputs.add(row[len(free):])
-            elif row not in kept or len(kept[row]) > len(ancestors):
-                kept[row] = ancestors
-        rows = kept
-    return tuple(sorted(outputs))
-
-
 def fm_membership(generators, x: Sequence[Rational]) -> bool:
     """Do nonnegative multipliers exist with ``sum_i t_i g_i = x``?
 
-    Decided against the Fourier-Motzkin projection of the multiplier
-    system; agrees with any nonnegative-combination certificate.
+    Decided against the double description of the cone: its facet
+    normals and its span equations, ``x`` in the cone iff it meets
+    each; agrees with any nonnegative-combination certificate.  The
+    ``fm_`` prefix stays for compatibility: no Fourier-Motzkin
+    elimination runs.
     """
     gens = _intake(generators, len(x))
-    point = clear_denominators(x)  # before any elimination
-    return _satisfies(_projection_rows(gens, len(x)), point)
+    point = clear_denominators(x)  # before the cone is computed
+    return _satisfies(_double_description(gens, len(x))[1], point)
 
 
 def _satisfies(rows, point: Sequence[int]) -> bool:
@@ -267,15 +246,16 @@ def cross_validate(g: Graph) -> ValidationReport:
 
     Checks that (1) the rank-criterion facets and the brute-force facets
     coincide as generator sets, (2) the flow membership and the
-    Fourier-Motzkin membership agree on edge vectors, random
+    oracle's membership agree on edge vectors, random
     nonnegative combinations, random points and the all-ones vector, and
     (3) ``cone_dimension``'s component-count formula matches the rank.
     Failures are reported with a minimal witness, not raised.  The gate
     is the oracle's (edges, then vertices), checked before any other
     work; it is tighter than the vertex gate of ``facets``.  The
-    generators are cleared and their Fourier-Motzkin rows fetched once;
-    the oracle's facets and every point's verdict come from those rows,
-    so a row missing from the projection shows as a facet mismatch.
+    generators are cleared and their double description fetched once;
+    the oracle's facets and every point's verdict come from it, and
+    the rows are the facet normals plus the span's equations, so a
+    facet missing from them shows as a facet mismatch.
     Each point is cleared once, and both paths judge the same integer
     point: a positive rescale keeps membership.
     """
@@ -283,7 +263,8 @@ def cross_validate(g: Graph) -> ValidationReport:
     checks = []
 
     library_sets = frozenset(frozenset(f.generators_on) for f in facets(g))
-    oracle_sets = frozenset(frozenset(on) for _, on in _facet_data(gens))
+    facet_data, rows = _double_description(gens, g.vertex_count)
+    oracle_sets = frozenset(frozenset(on) for _, on in facet_data)
     if library_sets == oracle_sets:
         detail = f"{len(oracle_sets)} facets agree"
     else:
@@ -293,7 +274,6 @@ def cross_validate(g: Graph) -> ValidationReport:
                   f"library-only {sorted(map(sorted, extra))}")
     checks.append(Check("facets", library_sets == oracle_sets, detail))
 
-    rows = _projection_rows(gens, g.vertex_count)
     disagreement = None
     tested = 0
     for point in _point_battery(g, _COMBINATIONS, _RANDOM_POINTS, _SEED):

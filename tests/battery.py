@@ -12,14 +12,14 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from edgecone import (ConeRepresentation, CoordinateTag, Facet, Graph,
-                      IndependentSetTag, affine_hull, canonical_representation,
-                      cone_dimension, coordinate_halfspace, edge_vectors,
+from edgecone import (ConeRepresentation, CoordinateTag, EnumerationGateError,
+                      Facet, Graph, IndependentSetTag, affine_hull,
+                      canonical_representation, cone_dimension,
+                      coordinate_halfspace, edge_vectors,
                       face_dimension, facets, full_representation,
                       has_perfect_matching, independent_set_halfspace,
                       independent_sets, integer_decompose, is_independent,
                       membership, neighbor_set, remove_redundant)
-from edgecone import oracle
 from edgecone.cone import SENSE_LE, Halfspace, Hyperplane
 from edgecone.facets import _reach
 from edgecone.graph import _members, _union
@@ -317,9 +317,92 @@ def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return mat[:r], pivots
 
 
+_ROW_LIMIT = 200_000  # safety valve against Fourier-Motzkin blowup
+
+
+@lru_cache(maxsize=128)
+def fourier_motzkin_rows(generators: tuple[tuple[int, ...], ...],
+                         dimension: int) -> tuple[tuple[int, ...], ...]:
+    """Rows r with: x in cone(generators) iff r . x >= 0 for every row.
+
+    The reference the oracle's double description is checked against:
+    the multipliers of ``sum_i t_i g_i = x, t >= 0`` are eliminated,
+    equalities by exact substitution and the rest by Fourier-Motzkin
+    combination in index order, with Imbert's bound on the ancestries
+    and ``_ROW_LIMIT`` as a valve."""
+    q = len(generators)
+    n = dimension
+    # Equalities sum_i t_i g_i[v] - x_v = 0 over columns (t_0..t_{q-1}, x_0..x_{n-1}).
+    equalities = []
+    for v in range(n):
+        row = [g[v] for g in generators] + [0] * n
+        row[q + v] = -1
+        equalities.append(row)
+    reduced, pivots = integer_rref(equalities, q + n)
+
+    outputs: set[tuple[int, ...]] = set()
+    pivot_rows: dict[int, list[int]] = {}
+    for row, piv in zip(reduced, pivots):
+        if piv < q:
+            pivot_rows[piv] = row
+        else:
+            # No multipliers left: an equality purely between coordinates.
+            eq = primitive(row[q:])
+            outputs.add(eq)
+            outputs.add(tuple(-c for c in eq))
+    free = [i for i in range(q) if i not in pivot_rows]
+    rows: dict[tuple[int, ...], frozenset[int]] = {}
+    for i in range(q):
+        if i in pivot_rows:
+            # t_i >= 0 with t_i substituted from its equality row, whose
+            # pivot entry is positive.  Each equality has -1 in its own
+            # coordinate column, so every reduced row, a nonzero
+            # combination of them, has a nonzero coordinate part.
+            src = pivot_rows[i]
+            row = primitive([-src[j] for j in free] + [-c for c in src[q:]])
+        else:
+            row = tuple(int(j == i) for j in free) + (0,) * n
+        if not any(row[:len(free)]):
+            outputs.add(row[len(free):])
+        elif row not in rows:
+            rows[row] = frozenset([i])
+
+    # A kept row is zero in every eliminated column and nonzero in a
+    # later one, so no row is left after the last column.
+    for col in range(len(free)):
+        positive, negative, kept = [], [], {}
+        for row, ancestors in rows.items():
+            if row[col] > 0:
+                positive.append((row, ancestors))
+            elif row[col] < 0:
+                negative.append((row, ancestors))
+            else:
+                kept[row] = ancestors
+        built = len(kept)  # rows of this step's system, carried or combined
+        for (prow, panc), (nrow, nanc) in itertools.product(positive, negative):
+            ancestors = panc | nanc
+            # Imbert's bound: wider ancestries are provably redundant.
+            if len(ancestors) > col + 2:
+                continue
+            built += 1
+            if built > _ROW_LIMIT:
+                raise EnumerationGateError(
+                    f"Fourier-Motzkin blowup: {built} rows built while "
+                    f"eliminating multiplier {col + 1} of {len(free)}")
+            combo = [prow[col] * b - nrow[col] * a for a, b in zip(prow, nrow)]
+            # nonzero: kept rows r and -r make an equation, and equations have no t part
+            row = primitive(combo)
+            if not any(row[:len(free)]):
+                outputs.add(row[len(free):])
+            elif row not in kept or len(kept[row]) > len(ancestors):
+                kept[row] = ancestors
+        rows = kept
+    return tuple(sorted(outputs))
+
+
 def span_basis_facet_data(generators) -> tuple:
     """Reference for ``oracle._facet_data`` on integer generator tuples:
-    the same on-sets of the Fourier-Motzkin rows, but each normal built
+    the on-sets of ``fourier_motzkin_rows``, but each normal built
     in a span basis.  ``integer_rref`` gives the basis; the normal's
     coefficients in it span the kernel of the on-generators' products
     with the basis, whose Gram matrix is invertible, so that kernel is
@@ -333,7 +416,7 @@ def span_basis_facet_data(generators) -> tuple:
     basis = [primitive(row) for row in reduced]
     found = []
     for on in {tuple(i for i, g in enumerate(generators) if dot(row, g) == 0)
-               for row in oracle._projection_rows(generators, width)}:
+               for row in fourier_motzkin_rows(generators, width)}:
         if len(on) == len(generators):  # an equation of the span
             continue
         coeffs = integer_kernel(

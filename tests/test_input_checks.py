@@ -90,6 +90,6 @@ def test_oracle_accepts_a_generator_iterator():
 def test_fm_membership_reads_its_point_before_eliminating(monkeypatch):
     def unexpected(*args):
         raise AssertionError("eliminated before reading the point")
-    monkeypatch.setattr("edgecone.oracle._projection_rows", unexpected)
+    monkeypatch.setattr("edgecone.oracle._double_description", unexpected)
     with pytest.raises(ValueError, match="int or Fraction"):
         fm_membership(edge_vectors(K13), (0.5, 0.5, 0.5, 1.5))

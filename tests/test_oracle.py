@@ -9,9 +9,11 @@ from edgecone import (EnumerationGateError, brute_force_facet_generator_sets,
                       brute_force_facets, cross_validate, edge_vectors,
                       facets, fm_membership, membership, parse_graph)
 from battery import (bipartite_battery, build, complete, complete_bipartite,
-                     connected_graphs_upto, cycle, random_connected,
-                     span_basis_facet_data, standard_battery, star)
+                     connected_graphs_upto, cycle, fourier_motzkin_rows,
+                     random_connected, seeded_unions, span_basis_facet_data,
+                     standard_battery, star)
 from edgecone import oracle
+from edgecone.rational import clear_denominators
 
 TRIANGLE = parse_graph("a b\nb c\nc a")
 K13 = star(3)
@@ -107,15 +109,17 @@ def test_oracle_rejects_generators_of_mixed_dimension():
 
 
 def test_oracle_outputs_are_pinned():
-    """sha256 over ``repr`` of the Fourier-Motzkin rows and the facet data
-    of the standard battery, and of the ``cross_validate`` reports of
-    the connected graphs on at most 4 vertices.  The digests were taken
-    before the projection dropped its dead branches: any change to the
-    rows, their order or the reports shows here."""
+    """sha256 over ``repr`` of the reference Fourier-Motzkin rows and the
+    oracle's facet data of the standard battery, and of the
+    ``cross_validate`` reports of the connected graphs on at most 4
+    vertices.  The digests were taken before the projection dropped its
+    dead branches, and kept when the oracle moved to the double
+    description: any change to the rows, their order, the facet data
+    or the reports shows here."""
     rows, data, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for g in standard_battery():
         gens = edge_vectors(g)
-        rows.update(repr(oracle._projection_rows(gens, g.vertex_count)).encode())
+        rows.update(repr(fourier_motzkin_rows(gens, g.vertex_count)).encode())
         data.update(repr(oracle._facet_data(gens)).encode())
     for g in connected_graphs_upto(4):
         reports.update(repr(cross_validate(g)).encode())
@@ -211,18 +215,43 @@ HAND_MADE_GENERATORS = {
 }
 
 
-def test_facet_data_equals_the_span_basis_route():
-    """The normals read off the span's equations equal the ones the
-    span-basis route builds, on-sets and order included."""
+def test_double_description_equals_fourier_motzkin():
+    """The oracle's double description gives the facet data of the
+    span-basis route over the Fourier-Motzkin reference, on-sets and
+    order included, and the reference rows' membership verdicts.  Its
+    inputs: both batteries, seeded random graphs and disjoint unions
+    within the gates (points of ``_point_battery``), and the hand-made
+    cones, the empty cone of width 3 and seeded random generator sets
+    (random points and sums of generators)."""
     rng = random.Random(83)
     seeded = [random_connected(rng.randint(1, 10), rng, rng.choice((0.1, 0.25, 0.4)))
               for _ in range(120)]
     graphs = standard_battery() + bipartite_battery() + tuple(
-        g for g in seeded if len(g.edges) <= oracle.ORACLE_MAX_GENERATORS)
-    sets = [edge_vectors(g) for g in graphs] + list(HAND_MADE_GENERATORS.values())
+        g for g in seeded + list(seeded_unions(40, 27, 10))
+        if len(g.edges) <= oracle.ORACLE_MAX_GENERATORS)
+    cases = [(edge_vectors(g), g.vertex_count, oracle._point_battery(g, 3, 3, 0))
+             for g in graphs]
+    # the reference's row valve fires on about one random set of these
+    # shapes in fifty; this seed's twelve stay below it
+    rng = random.Random(2)
+    sets = list(HAND_MADE_GENERATORS.values()) + [[]]
+    sets += [[tuple(rng.randint(0, 3) for _ in range(width))
+              for _ in range(count)]
+             for count, width in [(rng.randint(12, 20), rng.randint(6, 8))
+                                  for _ in range(12)]]
     for raw in sets:
-        gens = oracle._intake(raw)
+        width = len(raw[0]) if raw else 3
+        points = [tuple(rng.randint(-2, 6) for _ in range(width))
+                  for _ in range(20)]
+        points += [tuple(map(sum, zip(*rng.sample(raw, k))))
+                   for k in range(1, len(raw) + 1)]
+        cases.append((raw, width, points))
+    for raw, width, points in cases:
+        gens = oracle._intake(raw, width)
         assert oracle._facet_data(gens) == span_basis_facet_data(gens), raw
+        rows = fourier_motzkin_rows(gens, width)
+        assert [fm_membership(gens, x) for x in points] == [
+            oracle._satisfies(rows, clear_denominators(x)) for x in points], raw
 
 
 def test_facet_data_of_hand_made_cones():
@@ -236,22 +265,11 @@ def test_facet_data_of_hand_made_cones():
 
 
 def test_span_equations_are_not_facets():
-    # K2,3's span has the equation x_left = x_right, a projection row that
+    # K2,3's span has the equation x_left = x_right, an oracle row that
     # vanishes on every generator
     vectors = edge_vectors(complete_bipartite(2, 3))
     sets = brute_force_facet_generator_sets(vectors)
     assert sets and all(len(on) < len(vectors) for on in sets)
-
-
-def test_fourier_motzkin_bounds_the_rows_built_in_one_step(monkeypatch):
-    # K7's first step carries 17 rows and combines 4 more; the gate stops
-    # it at the second combination, not after the step's 21 rows
-    monkeypatch.setattr(oracle, "_ROW_LIMIT", 18)
-    oracle._projection_rows.cache_clear()
-    oracle._facet_data.cache_clear()
-    with pytest.raises(EnumerationGateError,
-                       match="19 rows built while eliminating multiplier 1 of 14"):
-        brute_force_facets(edge_vectors(complete(7)))
 
 
 def test_point_battery_equals_fraction_combinations():

@@ -2,7 +2,7 @@
 witness comparison, 12 for the disjoint unions).
 
 Three independent membership paths must agree: the library's max-flow,
-the exhaustive scan over independent sets and the Fourier-Motzkin
+the exhaustive scan over independent sets and the double-description
 oracle, and the library's membership witness must equal the one an
 Edmonds-Karp flow with the quadratic shrink finds.  Three facet
 enumerations must agree too: the library's rank criterion, the
