@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence, Union
 
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, bipartite_component_count,
-                    check_gate, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _frame,
+                    bipartite_component_count, check_gate, vertex_set)
 from .rational import Rational, clear_denominators, dot, is_int, is_primitive
 
 SENSE_GE = ">=0"
@@ -53,8 +53,13 @@ class CoordinateTag:
 @dataclass(frozen=True, slots=True)
 class IndependentSetTag:
     """Hyperplane equating an independent set's coordinate sum with its
-    neighbor set's."""
+    neighbor set's.  ``vertices`` is copied into a tuple, so a caller's
+    list cannot change the tag later."""
     vertices: VertexSet
+
+    def __post_init__(self):
+        if type(self.vertices) is not tuple:  # a tuple is immutable already
+            object.__setattr__(self, "vertices", tuple(self.vertices))
 
 
 @_frozen
@@ -73,15 +78,19 @@ class Hyperplane:
     """Primitive integer normal plus the combinatorial origin of the
     hyperplane (``None`` for raw normals, e.g. oracle output).
 
-    The constructor checks that the normal is primitive.  Halfspaces the
-    library builds itself skip that check (``_trusted``): each of their
-    normals has an entry 1, so it is primitive by construction.
+    The constructor copies the normal into a tuple, so a caller's list
+    cannot change the plane later, and checks that it is primitive.
+    Halfspaces the library builds itself skip both (``_trusted``): each
+    of their normals is a tuple with an entry 1, so it is primitive by
+    construction.
     """
 
     normal: tuple[int, ...]
     tag: Tag = None
 
     def __post_init__(self):
+        if type(self.normal) is not tuple:  # a tuple is immutable already
+            object.__setattr__(self, "normal", tuple(self.normal))
         if not is_primitive(self.normal):
             raise ValueError(f"normal must be primitive and nonzero: {self.normal}")
 
@@ -234,7 +243,7 @@ def full_representation(g: Graph,
     """
     check_gate(g, max_vertices)
     n = g.vertex_count
-    masks = g.masks
+    masks = _frame(g)[0]
     halfspaces = [coordinate_halfspace(g, v) for v in range(n)]
     # (members, normal, members and their neighbors, vertices that may join)
     stack = [((), (0,) * n, 0, (1 << n) - 1)]

@@ -44,17 +44,23 @@ from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
                    IndependentSetTag, Tag, _frozen, _set_halfspace, affine_hull,
                    cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
-from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _colour_search, _members,
-                    _union, check_gate, vertex_set)
+from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _colour_search, _frame,
+                    _members, _union, check_gate, vertex_set)
 
 
 @_frozen
 @dataclass(frozen=True, slots=True)
 class Facet:
-    """A facet together with the edge indices spanning it."""
+    """A facet together with the edge indices spanning it.
+    ``generators_on`` is copied into a tuple, so a caller's list cannot
+    change the facet later."""
 
     halfspace: Halfspace
     generators_on: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.generators_on) is not tuple:  # a tuple is immutable already
+            object.__setattr__(self, "generators_on", tuple(self.generators_on))
 
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
@@ -167,19 +173,6 @@ def _all_odd(masks: Sequence[int], part: int) -> bool:
             return False
         part &= ~reached
     return True
-
-
-def _linked(two: Sequence[int], a: int) -> bool:
-    """Whether the members of the vertex bitmask ``a``, an independent
-    set with no isolated vertex, are linked through common neighbors:
-    whether the edges between ``a`` and its neighbors form a connected
-    graph.  ``two[v]`` is the bitmask of the vertices two steps from
-    ``v``, the union of its neighbors' masks."""
-    reached = frontier = a & -a
-    while frontier:
-        frontier = _union(two, frontier) & a & ~reached
-        reached |= frontier
-    return reached == a
 
 
 def _halfspace(g: Graph, tag: Tag) -> Halfspace:
@@ -302,26 +295,23 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
     if dim <= 1:
         return ()
     check_gate(g, max_vertices)
-    masks = g.masks
-    # side 1 of each component, by lowest vertex; 0, which adds nothing,
-    # if it is not bipartite
-    firsts = [sum(1 << v for v in sides[0]) if sides else 0 for sides in g.bipartitions]
+    masks, parts = _frame(g)
 
     def grown(x: int, own: int) -> tuple[int, ...]:
         """``x`` plus the sides 1 of other components that make it smaller."""
-        for side in firsts:
+        for _, side in parts:  # by lowest vertex; 0 adds nothing
             if side & -side > x:
                 break  # its lowest vertex lies above the running maximum
             if side != own:
                 x |= side
         return tuple(_members(x))
 
-    # the vertices two steps from each vertex, for _linked; only a
-    # non-bipartite component, whose side 1 is 0, reads it
-    two = [_union(masks, m) for m in masks] if 0 in firsts else None
+    # the vertices two steps from each vertex: a closed set's members
+    # are linked through common neighbors iff they reach each other on
+    # these; only a non-bipartite component, whose side 1 is 0, reads it
+    two = None if g.is_bipartite() else [_union(masks, m) for m in masks]
     chosen = []
-    for component, side1 in zip(g.components, firsts):
-        universe = sum(1 << v for v in component)
+    for universe, side1 in parts:
         if side1:
             for s in _directed_bonds(masks, side1, universe):
                 t = universe & ~s
@@ -333,10 +323,10 @@ def facets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple[Facet, .
                     tag = IndependentSetTag(min(grown(x, side1) for x in (s1, t2, s1 | t2)))
                 chosen.append(tag)
             continue
-        chosen += [CoordinateTag(v) for v in component
+        chosen += [CoordinateTag(v) for v in _members(universe)
                    if _all_odd(masks, universe & ~(1 << v))]
         chosen += [IndependentSetTag(grown(a, 0)) for a, na in _closed_sets(masks, universe)
-                   if _linked(two, a) and _all_odd(masks, universe & ~(a | na))]
+                   if _reach(two, a & -a, a) == a and _all_odd(masks, universe & ~(a | na))]
     out = []
     for tag in sorted(chosen, key=_tag_sort_key):
         h = _halfspace(g, tag)
@@ -500,9 +490,8 @@ def _bond_halfspaces(g: Graph) -> tuple[Halfspace, ...]:
     """The canonical halfspaces of the connected bipartite ``g``, in tag
     order: one per directed bond ``(S, T)`` (see ``_directed_bonds``),
     tagged ``_bond_tag(S, side1)``."""
-    side1_mask = sum(1 << v for v in g.bipartitions[0][0])
-    tags = sorted((_bond_tag(s, side1_mask)
-                   for s in _directed_bonds(g.masks, side1_mask, (1 << g.vertex_count) - 1)),
+    masks, ((universe, side1),) = _frame(g)
+    tags = sorted((_bond_tag(s, side1) for s in _directed_bonds(masks, side1, universe)),
                   key=_tag_sort_key)
     return tuple(_halfspace(g, t) for t in tags)
 

@@ -6,20 +6,13 @@ of the package is indexed the same way.  Graphs are immutable.  Their
 neighbor tuples, components and bipartitions are computed eagerly, the
 last two by ``_colour_search``, the one search for components and odd
 cycles over neighbor lists; the rank of a face and the bond test of
-``bipartite_facet_check`` and ``dual_facet`` run it on subgraphs.  Two
-cached views are built on first use and then only read: the adjacency
-bitmasks, and the arcs of the flow network that membership,
-decomposition and matching route on.  The first walk over vertex
-bitmasks builds the masks: the level walk of ``independent_sets``,
-which yields each set as it is built, by size and then in
-lexicographic order; the depth-first walk of ``full_representation``,
-which reaches the sets in lexicographic order and so sorts none; or
-the bond and closed-set walks of ``facets`` and the canonical
-representation.
-Decision calls, face dimensions and bond tests never build the
-bitmasks.  So instances are safe to share between threads.  A vertex
-set is handled as a bitmask over vertex indices wherever it is
-searched or combined.
+``bipartite_facet_check`` and ``dual_facet`` run it on subgraphs.  One
+cached view is built on first use and then only read: the arcs of the
+flow network that membership, decomposition and matching route on.  So
+instances are safe to share between threads.  A vertex set is handled
+as a bitmask over vertex indices wherever it is searched or combined;
+each walk over vertex bitmasks takes them from ``_frame`` and drops
+them when it returns.
 """
 
 from __future__ import annotations
@@ -51,16 +44,10 @@ class Graph:
     indices; ``bipartitions[k]`` is ``(side1, side2)`` for a bipartite
     component (``side1`` contains the component's smallest index) and
     ``None`` for a non-bipartite one.  An isolated vertex is a bipartite
-    component with an empty second side.  Two cached views are built on
-    first use and are read-only: ``masks``, whose ``masks[v]`` holds
-    ``neighbors[v]`` as a bitmask over vertex indices, and
-    ``_flow_network``, the point-independent part of the flow network
-    (``cone._network``).  Membership, decomposition, matching,
-    ``cone_dimension``, ``affine_hull``, ``face_dimension``,
-    ``is_facet``, ``bipartite_facet_check`` and ``dual_facet`` never
-    build ``masks``.
-    Cached views take no part in equality, hashing, ``repr`` or
-    pickling.
+    component with an empty second side.  One cached view is built on
+    first use and is read-only: ``_flow_network``, the point-independent
+    part of the flow network (``cone._network``).  It takes no part in
+    equality, hashing, ``repr`` or pickling.
     """
 
     vertices: tuple[str, ...]
@@ -109,17 +96,12 @@ class Graph:
         object.__setattr__(self, "bipartitions", tuple(bipartitions))
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """``neighbors`` as bitmasks, built by the first bitmask walk."""
-        return tuple(sum(1 << w for w in a) for a in self.neighbors)
-
-    @cached_property
     def _flow_network(self):
         from .cone import _network  # cone builds on this module
         return _network(self)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("masks", "_flow_network")}
+        return {k: v for k, v in self.__dict__.items() if k != "_flow_network"}
 
     @property
     def vertex_count(self) -> int:
@@ -255,6 +237,20 @@ def check_gate(g: Graph, max_vertices: int) -> None:
             f"with max_vertices= (--max-n on the command line)")
 
 
+def _frame(g: Graph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The bitmasks of a walk over ``g``: ``(masks, parts)``, where
+    ``masks[v]`` holds the neighbors of ``v`` and ``parts`` holds one
+    ``(universe, side1)`` pair per component, in ``components`` order,
+    its vertices and its side 1, or 0 if it is not bipartite."""
+    masks = [0] * g.vertex_count
+    for i, j in g.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    parts = [(sum(1 << v for v in component), sum(1 << v for v in sides[0]) if sides else 0)
+             for component, sides in zip(g.components, g.bipartitions)]
+    return masks, parts
+
+
 def _members(mask: int) -> list[int]:
     """The indices of the set bits of ``mask``, in increasing order."""
     out = []
@@ -286,7 +282,7 @@ def independent_sets(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Iter
     the vertex gate.
     """
     check_gate(g, max_vertices)
-    masks = g.masks
+    masks = _frame(g)[0]
     # Each set carries the bitmask of vertices that may still join it:
     # above its last member and outside its members' neighbors, which is
     # the independence check.  The sets of one level are extended in

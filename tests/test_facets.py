@@ -17,6 +17,7 @@ from edgecone import (CoordinateTag, EnumerationGateError, GraphRequirementError
                       parse_graph, rational_rank, remove_redundant)
 from edgecone.cone import Hyperplane
 from edgecone.facets import _directed_bonds, _edge_rank
+from edgecone.graph import _frame
 from edgecone.rational import dot
 from battery import (_induced_connected, all_graphs, bipartite_battery, build,
                      combinatorial_facet_sets, complete_bipartite,
@@ -370,15 +371,15 @@ def test_bond_walk_matches_the_walk_without_forced_moves():
     # lists: the same bonds, each once, on the connected bipartite
     # battery, on random connected bipartite graphs up to 40 vertices and
     # on the bipartite components of disjoint unions
-    walks = [(g.masks, g.bipartitions[0][0], g.components[0])
+    walks = [(_frame(g)[0], g.bipartitions[0][0], g.components[0])
              for g in bipartite_battery() if g.is_connected()]
     rng = random.Random(26)
     for n in range(8, 41, 4):
         for degree in (1.5, 2.5, 4):
             g = random_connected_bipartite(n, rng, degree / n)
-            walks.append((g.masks, g.bipartitions[0][0], g.components[0]))
+            walks.append((_frame(g)[0], g.bipartitions[0][0], g.components[0]))
     for g in seeded_unions(100, 26, 16):
-        walks += [(g.masks, sides[0], component)
+        walks += [(_frame(g)[0], sides[0], component)
                   for component, sides in zip(g.components, g.bipartitions) if sides]
     for masks, side1, component in walks:
         side1, universe = sum(1 << v for v in side1), sum(1 << v for v in component)

@@ -11,6 +11,7 @@ from edgecone import (EdgeListParseError, EnumerationGateError, Graph,
 from battery import (all_graphs, bipartite_battery, build, colour_search_structure,
                      complete, cycle, path, random_connected, standard_battery,
                      star)
+from edgecone.graph import _frame
 
 import random
 
@@ -120,7 +121,7 @@ def test_structure_equals_the_colour_search():
     for g in graphs:
         assert (g.neighbors, g.components, g.bipartitions) \
             == colour_search_structure(g), g.edges
-        assert g.masks == tuple(sum(1 << w for w in a) for a in g.neighbors)
+        assert _frame(g)[0] == [sum(1 << w for w in a) for a in g.neighbors]
 
 
 def test_many_small_components():
@@ -130,7 +131,7 @@ def test_many_small_components():
     isolated = build(10_000, [])
     assert isolated.components == tuple((v,) for v in range(10_000))
     assert isolated.bipartitions == tuple(((v,), ()) for v in range(10_000))
-    assert not any(isolated.masks)
+    assert not any(_frame(isolated)[0])
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])

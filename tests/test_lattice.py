@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pickle
 import random
@@ -8,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from edgecone import (Graph, GraphRequirementError, affine_hull,
-                      cone_dimension, facets, has_perfect_matching,
-                      integer_decompose, is_independent, membership,
-                      neighbor_set, parity_check, parse_graph)
+                      canonical_representation, cone_dimension, facets,
+                      full_representation, has_perfect_matching,
+                      independent_sets, integer_decompose, is_independent,
+                      membership, neighbor_set, parity_check, parse_graph)
 from battery import (bipartite_battery, complete_bipartite, cycle,
                      disjoint_union, kuhn_maximum_matching, path,
                      random_connected_bipartite, seeded_unions,
@@ -221,14 +223,21 @@ def test_routing_leaves_equality_hash_repr_and_pickle_alone():
 
 
 def test_decision_calls_build_no_bitmask():
+    # the bitmask walks build their bitmasks and drop them, so after any
+    # call the graph holds its fields and, once routed, its flow network
     g = cycle(6)
-    assert membership(g, (1,) * 6) and not membership(g, (2, 0, 0, 0, 0, 0))
-    assert integer_decompose(g, (2, 1, 1, 2, 1, 1)) and has_perfect_matching(g)
-    assert cone_dimension(g) == 5 and affine_hull(g)
-    assert is_independent(g, (0, 2)) and neighbor_set(g, (0,)) == (1, 5)
-    assert "masks" not in vars(g)
-    facets(g)
-    assert g.masks == tuple(sum(1 << w for w in a) for a in g.neighbors)
+    kept = {f.name for f in dataclasses.fields(g)} | {"_flow_network"}
+    calls = [
+        lambda: membership(g, (1,) * 6) and not membership(g, (2, 0, 0, 0, 0, 0)),
+        lambda: integer_decompose(g, (2, 1, 1, 2, 1, 1)) and has_perfect_matching(g),
+        lambda: cone_dimension(g) == 5 and affine_hull(g),
+        lambda: is_independent(g, (0, 2)) and neighbor_set(g, (0,)) == (1, 5),
+        lambda: full_representation(g), lambda: facets(g),
+        lambda: canonical_representation(g), lambda: list(independent_sets(g)),
+    ]
+    for call in calls:
+        assert call()
+        assert set(vars(g)) == kept
 
 
 def _reuse_graphs():

@@ -17,8 +17,8 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 
-from edgecone import (ComponentTag, CoordinateTag, IndependentSetTag, facets,
-                      full_representation, independent_set_halfspace)
+from edgecone import (ComponentTag, CoordinateTag, Facet, Hyperplane, IndependentSetTag,
+                      facets, full_representation, independent_set_halfspace)
 from battery import (bipartite_battery, check_library_halfspaces, labelled_graph_failures,
                      standard_battery, star)
 
@@ -84,6 +84,28 @@ def test_slotted_classes_stay_frozen():
         # a name that is no field is refused the same way
         assert refused(lambda: setattr(obj, "extra", None), FrozenInstanceError)
         assert refused(lambda: delattr(obj, "extra"), FrozenInstanceError)
+
+
+def test_hyperplane_keeps_no_caller_list():
+    normal = [1, 0]
+    plane = Hyperplane(normal)
+    normal[0] = 2
+    assert plane.normal == (1, 0) and hash(plane) == hash(Hyperplane((1, 0)))
+
+
+def test_independent_set_tag_keeps_no_caller_list():
+    members = [0, 2]
+    tag = IndependentSetTag(members)
+    members.append(3)
+    assert tag.vertices == (0, 2) and hash(tag) == hash(IndependentSetTag((0, 2)))
+
+
+def test_facet_keeps_no_caller_list():
+    h = independent_set_halfspace(K13, (0, 1))
+    on = [0, 1]
+    facet = Facet(h, on)
+    on.append(2)
+    assert facet.generators_on == (0, 1) and hash(facet) == hash(Facet(h, (0, 1)))
 
 
 if __name__ == "__main__":
