@@ -10,7 +10,8 @@ route on: the bipartite double cover, halved on bipartite components.
 A graph lays out that network's residual arcs once, on its first route,
 and keeps them; each call fills in a capacity list for its point,
 routes what it can greedily along the three-arc paths ``source -> v ->
-w' -> sink`` and finishes with one maximum flow on those plain arrays.
+w' -> sink``, edges with low-degree ends first, and finishes with one
+maximum flow on those plain arrays.
 Dimensions come from graph combinatorics; elimination is oracle-only.
 """
 
@@ -127,11 +128,19 @@ class Halfspace:
 
 @dataclass(frozen=True)
 class ConeRepresentation:
-    """Affine-hull equations plus halfspaces describing the edge cone."""
+    """Affine-hull equations plus halfspaces describing the edge cone.
+    Both are copied into tuples, so a caller's lists cannot change the
+    representation later."""
 
     equations: tuple[Hyperplane, ...]
     halfspaces: tuple[Halfspace, ...]
     kind: str  # "full" | "canonical_bipartite"
+
+    def __post_init__(self):
+        for name in ("equations", "halfspaces"):
+            value = getattr(self, name)
+            if type(value) is not tuple:  # a tuple is immutable already
+                object.__setattr__(self, name, tuple(value))
 
     def satisfied_by(self, x: Sequence[Rational]) -> bool:
         """Whether the exact ``x`` meets every constraint, rescaled to integers."""
@@ -390,14 +399,20 @@ def _reaching(adj: Sequence[Sequence[int]], to: Sequence[int], cap: Sequence[int
 def _network(g: Graph) -> tuple:
     """The part of ``_route``'s flow network that no point changes,
     which ``Graph._flow_network`` builds once per graph: ``(side2,
-    left, right, edge_arcs, adj, to)``, immutable throughout.
+    left, right, edge_arcs, greedy, adj, to)``, immutable throughout.
 
     Nodes ``v`` and ``v'`` are ``v`` and ``n + v``, the source ``2n``
     and the sink ``2n + 1``.  A vertex on side 2 of a bipartite
     component has no left node, one on side 1 no right node.  The
     ``edge_arcs`` arcs ``v -> w'`` come first, in edge order, then
     ``source -> v`` per ``left`` vertex and ``v' -> sink`` per ``right``
-    vertex; ``adj`` and ``to`` are their ``_layout``.
+    vertex; ``adj`` and ``to`` are their ``_layout``.  ``greedy`` holds
+    the residual ids of the edge arcs in the order of ``_route``'s
+    greedy pass: by the degree sum of the arc's two ends, lowest first,
+    ties in layout order.  An end of low degree has few partners, so
+    serving it first keeps the pass from spending its only partner on
+    one that had others (Karp and Sipser 1981), and leaves Dinic fewer
+    paths to repair.
     """
     n = g.vertex_count
     source, sink = 2 * n, 2 * n + 1
@@ -408,9 +423,12 @@ def _network(g: Graph) -> tuple:
     arcs = [(u, n + w) for i, j in g.edges
             for u, w in ((i, j), (j, i)) if u not in side2]
     edge_arcs = len(arcs)
+    degree = [*map(len, g.neighbors)]
+    sums = [degree[tail] + degree[head - n] for tail, head in arcs]
+    greedy = tuple(2 * k for k in sorted(range(edge_arcs), key=sums.__getitem__))
     arcs += [(source, v) for v in left]
     arcs += [(n + v, sink) for v in right]
-    return (side2, left, right, edge_arcs) + _layout(2 * n + 2, arcs)
+    return (side2, left, right, edge_arcs, greedy) + _layout(2 * n + 2, arcs)
 
 
 def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
@@ -430,10 +448,13 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
     which no flow on one arc exceeds, on each edge arc, and ``point[v]``
     on the source and sink arcs.  Every shortest path has three arcs,
     ``source -> v -> w' -> sink``, so a greedy pass first sends along
-    each edge arc ``v -> w'`` in layout order what ``v`` still supplies
-    and ``w'`` still takes, the warm start of Hopcroft and Karp (1973),
-    and leaves the rest to ``_max_flow``.  That saturates ``cap``, so
-    its odd entries are then the flows.
+    each edge arc ``v -> w'`` what ``v`` still supplies and ``w'`` still
+    takes, the warm start of Hopcroft and Karp (1973), and leaves the
+    rest to ``_max_flow``.  It takes the arcs by the degree sum of their
+    ends, lowest first (``_network``'s ``greedy``), so a vertex with few
+    neighbors is served before a neighbor of it with others spends its
+    amount elsewhere.  That saturates ``cap``, so its odd entries are
+    then the flows.
     A short flow leaves reachable left vertices ``S`` with
     ``point(S) > point(N(S))`` (the reverse copy carries the reversed
     flow, so side-2 ``w`` is in ``S`` iff ``w'`` reaches the sink);
@@ -448,11 +469,11 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
             return coordinate_halfspace(g, v)
     n = g.vertex_count
     source, sink = 2 * n, 2 * n + 1
-    side2, left, right, edge_arcs, adj, to = g._flow_network
+    side2, left, right, edge_arcs, greedy, adj, to = g._flow_network
     cap = [sum(point), 0] * edge_arcs + [0] * (2 * (len(left) + len(right)))
     left_over = list(point) * 2  # what node v still supplies, node n + v still takes
     pushed = 0
-    for arc in range(0, 2 * edge_arcs, 2):
+    for arc in greedy:
         head, tail = to[arc], to[arc + 1]
         sent = left_over[tail]
         if sent > left_over[head]:

@@ -23,9 +23,15 @@ from .rational import integer_vector
 @dataclass(frozen=True)
 class EdgeDecomposition:
     """Nonnegative integer multiplicity per edge index; zero entries are
-    omitted.  The weighted sum of edge vectors equals the target."""
+    omitted.  The weighted sum of edge vectors equals the target.
+    ``multiplicities`` is copied into a tuple, so a caller's list cannot
+    change the decomposition later."""
 
     multiplicities: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if type(self.multiplicities) is not tuple:  # a tuple is immutable already
+            object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.multiplicities)
@@ -50,9 +56,19 @@ class DecompositionResult:
 
 @dataclass(frozen=True)
 class MatchingResult:
+    """A perfect matching's edge indices, or a violated independent set.
+    Both are copied into tuples, so a caller's lists cannot change the
+    result later."""
+
     has_matching: bool
     matching: tuple[int, ...] | None = None   # edge indices
     violator: VertexSet | None = None          # independent set with |A| > |N(A)|
+
+    def __post_init__(self):
+        for name in ("matching", "violator"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not tuple:  # a tuple is immutable already
+                object.__setattr__(self, name, tuple(value))
 
     def __bool__(self) -> bool:
         return self.has_matching

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgecone import has_perfect_matching, integer_decompose, membership
+from edgecone import has_perfect_matching, integer_decompose, membership, parse_graph
 from battery import (bipartite_battery, build, cycle, path, seeded_unions,
                      standard_battery)
 
@@ -123,6 +123,25 @@ def test_routed_flows_meet_supply_and_demand_on_large_graphs(g, ones_member):
         points.append((1,) * g.vertex_count)
     for point in points:
         check_flows(g, tuple(point))
+
+
+def test_greedy_pass_takes_low_degree_edges_first(monkeypatch):
+    # a path listed middle edge first: taken in layout order, the greedy
+    # pass would match b and c and leave a and d for Dinic; by degree sum
+    # it takes the two pendant edges first and routes everything itself
+    g = parse_graph("b c\na b\nc d")
+    values = []
+    run = cone._max_flow
+
+    def recorded(adj, to, cap, source, sink):
+        value, level = run(adj, to, cap, source, sink)
+        values.append(value)
+        return value, level
+
+    monkeypatch.setattr(cone, "_max_flow", recorded)
+    result = has_perfect_matching(g)
+    assert result and result.matching == (1, 2)
+    assert values == [0]
 
 
 @st.composite

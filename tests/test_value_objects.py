@@ -17,8 +17,9 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 
-from edgecone import (ComponentTag, CoordinateTag, Facet, Hyperplane, IndependentSetTag,
-                      facets, full_representation, independent_set_halfspace)
+from edgecone import (ComponentTag, ConeRepresentation, CoordinateTag, EdgeDecomposition,
+                      Facet, Hyperplane, IndependentSetTag, MatchingResult, facets,
+                      full_representation, independent_set_halfspace)
 from battery import (bipartite_battery, check_library_halfspaces, labelled_graph_failures,
                      standard_battery, star)
 
@@ -106,6 +107,34 @@ def test_facet_keeps_no_caller_list():
     facet = Facet(h, on)
     on.append(2)
     assert facet.generators_on == (0, 1) and hash(facet) == hash(Facet(h, (0, 1)))
+
+
+def test_cone_representation_keeps_no_caller_list():
+    plane = Hyperplane((1, -1))
+    equations, halfspaces = [], []
+    rep = ConeRepresentation(equations, halfspaces, "full")
+    equations.append(plane)
+    halfspaces.append(independent_set_halfspace(K13, (0,)))
+    assert rep.equations == () and rep.halfspaces == ()
+    assert hash(rep) == hash(ConeRepresentation((), (), "full"))
+
+
+def test_matching_result_keeps_no_caller_list():
+    matching, violator = [0], [1, 2]
+    found, short = MatchingResult(True, matching), MatchingResult(False, violator=violator)
+    matching.append(1)
+    violator.append(3)
+    assert found.matching == (0,) and short.violator == (1, 2)
+    assert hash(found) == hash(MatchingResult(True, (0,)))
+    assert hash(short) == hash(MatchingResult(False, violator=(1, 2)))
+
+
+def test_edge_decomposition_keeps_no_caller_list():
+    pairs = [(0, 1)]
+    decomposition = EdgeDecomposition(pairs)
+    pairs.append((1, 2))
+    assert decomposition.multiplicities == ((0, 1),)
+    assert hash(decomposition) == hash(EdgeDecomposition(((0, 1),)))
 
 
 if __name__ == "__main__":
