@@ -32,39 +32,53 @@ def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} {name!r}")
 
 
-def _frozen(cls):
-    """Make every assignment and deletion on the slotted frozen ``cls``
-    raise ``FrozenInstanceError``, a field or not.  ``dataclass(slots=True)``
-    rebuilds the class, and the ``__setattr__`` it generated still names
-    the class it replaced, so on CPython 3.10-3.13 a name that is no field
-    raises ``TypeError`` from its ``super()`` call.  Construction, ``copy``
-    and ``pickle`` write through ``object.__setattr__`` and are unaffected."""
-    cls.__setattr__ = cls.__delattr__ = _refuse
-    return cls
+def _value(*sequences):
+    """The recipe of every public value and result class: a slotted
+    frozen dataclass whose fields named in ``sequences`` are copied into
+    tuples (``None`` and tuples are kept), so a caller's list cannot
+    change the object later.  The class's own ``__post_init__`` runs
+    after the copy and must not call ``super()``, for
+    ``dataclass(slots=True)`` rebuilds the class.  For the same reason
+    the ``__setattr__`` it generates still names the class it replaced,
+    so on CPython 3.10-3.13 a name that is no field raises ``TypeError``
+    from its ``super()`` call; every assignment and deletion goes to
+    ``_refuse`` instead.  Construction, ``copy`` and ``pickle`` write
+    through ``object.__setattr__`` and are unaffected."""
+
+    def build(cls):
+        check = cls.__dict__.get("__post_init__")
+
+        def __post_init__(self):
+            for name in sequences:
+                value = getattr(self, name)
+                if value is not None and type(value) is not tuple:
+                    object.__setattr__(self, name, tuple(value))
+            if check:
+                check(self)
+
+        if sequences:
+            cls.__post_init__ = __post_init__
+        cls = dataclass(frozen=True, slots=True)(cls)
+        cls.__setattr__ = cls.__delattr__ = _refuse
+        return cls
+
+    return build
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value()
 class CoordinateTag:
     """Hyperplane of a single vanishing coordinate."""
     vertex: int
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value("vertices")
 class IndependentSetTag:
     """Hyperplane equating an independent set's coordinate sum with its
-    neighbor set's.  ``vertices`` is copied into a tuple, so a caller's
-    list cannot change the tag later."""
+    neighbor set's."""
     vertices: VertexSet
 
-    def __post_init__(self):
-        if type(self.vertices) is not tuple:  # a tuple is immutable already
-            object.__setattr__(self, "vertices", tuple(self.vertices))
 
-
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value()
 class ComponentTag:
     """Affine-hull balance equation of one bipartite component."""
     component: int
@@ -73,31 +87,26 @@ class ComponentTag:
 Tag = Union[CoordinateTag, IndependentSetTag, ComponentTag, None]
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value("normal")
 class Hyperplane:
     """Primitive integer normal plus the combinatorial origin of the
     hyperplane (``None`` for raw normals, e.g. oracle output).
 
-    The constructor copies the normal into a tuple, so a caller's list
-    cannot change the plane later, and checks that it is primitive.
-    Halfspaces the library builds itself skip both (``_trusted``): each
-    of their normals is a tuple with an entry 1, so it is primitive by
-    construction.
+    The constructor checks that the normal is primitive.  Halfspaces the
+    library builds itself skip the copy and the check (``_trusted``):
+    each of their normals is a tuple with an entry 1, so it is primitive
+    by construction.
     """
 
     normal: tuple[int, ...]
     tag: Tag = None
 
     def __post_init__(self):
-        if type(self.normal) is not tuple:  # a tuple is immutable already
-            object.__setattr__(self, "normal", tuple(self.normal))
         if not is_primitive(self.normal):
             raise ValueError(f"normal must be primitive and nonzero: {self.normal}")
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value()
 class Halfspace:
     """Closed halfspace ``<normal, x> >= 0`` or ``<= 0``.
 
@@ -126,21 +135,13 @@ class Halfspace:
         return value if self.sense == SENSE_GE else -value
 
 
-@dataclass(frozen=True)
+@_value("equations", "halfspaces")
 class ConeRepresentation:
-    """Affine-hull equations plus halfspaces describing the edge cone.
-    Both are copied into tuples, so a caller's lists cannot change the
-    representation later."""
+    """Affine-hull equations plus halfspaces describing the edge cone."""
 
     equations: tuple[Hyperplane, ...]
     halfspaces: tuple[Halfspace, ...]
     kind: str  # "full" | "canonical_bipartite"
-
-    def __post_init__(self):
-        for name in ("equations", "halfspaces"):
-            value = getattr(self, name)
-            if type(value) is not tuple:  # a tuple is immutable already
-                object.__setattr__(self, name, tuple(value))
 
     def satisfied_by(self, x: Sequence[Rational]) -> bool:
         """Whether the exact ``x`` meets every constraint, rescaled to integers."""
@@ -191,12 +192,14 @@ def independent_set_halfspace(g: Graph, a: Iterable[int]) -> Halfspace:
     members = vertex_set(g, a)
     if not members:
         raise ValueError("independent set must be nonempty")
-    return _set_halfspace(g, members)
+    return _set_halfspace(g, IndependentSetTag(members))
 
 
-def _set_halfspace(g: Graph, members: VertexSet) -> Halfspace:
-    """``independent_set_halfspace`` of ``members``, which the caller
-    has already made sorted, nonempty and in range."""
+def _set_halfspace(g: Graph, tag: IndependentSetTag) -> Halfspace:
+    """``independent_set_halfspace`` of the members of ``tag``, which
+    the caller has already made sorted, nonempty and in range; the
+    halfspace carries ``tag`` itself."""
+    members = tag.vertices
     normal = [0] * g.vertex_count
     for v in members:
         normal[v] = 1
@@ -205,7 +208,7 @@ def _set_halfspace(g: Graph, members: VertexSet) -> Halfspace:
             if normal[w] == 1:
                 raise ValueError(f"vertex set {members} is not independent")
             normal[w] = -1
-    return _trusted(tuple(normal), IndependentSetTag(members), SENSE_LE)
+    return _trusted(tuple(normal), tag, SENSE_LE)
 
 
 def cone_dimension(g: Graph) -> int:
@@ -281,7 +284,7 @@ def full_representation(g: Graph,
     return ConeRepresentation(affine_hull(g), tuple(halfspaces), "full")
 
 
-@dataclass(frozen=True)
+@_value()
 class MembershipResult:
     """Decision plus, on rejection, a violated constraint: the coordinate
     halfspace of the lowest-index negative coordinate, or else the
@@ -514,7 +517,7 @@ def _route(g: Graph, point: Sequence[int]) -> list[int] | Halfspace:
             else:
                 kept.append(v)
         if len(kept) == len(members):
-            return _set_halfspace(g, tuple(members))
+            return _set_halfspace(g, IndependentSetTag(members))
         members = kept[::-1]
 
 

@@ -37,30 +37,22 @@ sets (``full_representation`` still lists all of those).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
-                   IndependentSetTag, Tag, _frozen, _set_halfspace, affine_hull,
+                   IndependentSetTag, Tag, _set_halfspace, _value, affine_hull,
                    cone_dimension, coordinate_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _colour_search, _frame,
                     _members, _union, check_gate, vertex_set)
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
+@_value("generators_on")
 class Facet:
-    """A facet together with the edge indices spanning it.
-    ``generators_on`` is copied into a tuple, so a caller's list cannot
-    change the facet later."""
+    """A facet together with the edge indices spanning it."""
 
     halfspace: Halfspace
     generators_on: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.generators_on) is not tuple:  # a tuple is immutable already
-            object.__setattr__(self, "generators_on", tuple(self.generators_on))
 
 
 def _edge_rank(g: Graph, on: Sequence[int]) -> int:
@@ -178,7 +170,7 @@ def _all_odd(masks: Sequence[int], part: int) -> bool:
 def _halfspace(g: Graph, tag: Tag) -> Halfspace:
     if isinstance(tag, CoordinateTag):
         return coordinate_halfspace(g, tag.vertex)
-    return _set_halfspace(g, tag.vertices)
+    return _set_halfspace(g, tag)
 
 
 def _tag_sort_key(tag: Tag):
@@ -396,7 +388,8 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
     rest = [v for v in range(g.vertex_count) if v not in half]
     if len(rest) == 1:
         return coordinate_halfspace(g, rest[0])
-    return _set_halfspace(g, tuple(v for v in g.bipartitions[0][1] if v not in half))
+    return _set_halfspace(g, IndependentSetTag(
+        [v for v in g.bipartitions[0][1] if v not in half]))
 
 
 def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator[int]:

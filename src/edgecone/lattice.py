@@ -12,26 +12,18 @@ graph's length where one is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cone import Halfspace, _route
+from .cone import Halfspace, _route, _value
 from .errors import GraphRequirementError
 from .graph import Graph, VertexSet
 from .rational import integer_vector
 
 
-@dataclass(frozen=True)
+@_value("multiplicities")
 class EdgeDecomposition:
     """Nonnegative integer multiplicity per edge index; zero entries are
-    omitted.  The weighted sum of edge vectors equals the target.
-    ``multiplicities`` is copied into a tuple, so a caller's list cannot
-    change the decomposition later."""
+    omitted.  The weighted sum of edge vectors equals the target."""
 
     multiplicities: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if type(self.multiplicities) is not tuple:  # a tuple is immutable already
-            object.__setattr__(self, "multiplicities", tuple(self.multiplicities))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.multiplicities)
@@ -45,7 +37,7 @@ class EdgeDecomposition:
         return tuple(total)
 
 
-@dataclass(frozen=True)
+@_value()
 class DecompositionResult:
     decomposition: EdgeDecomposition | None = None
     violated: Halfspace | None = None
@@ -54,21 +46,13 @@ class DecompositionResult:
         return self.decomposition is not None
 
 
-@dataclass(frozen=True)
+@_value("matching", "violator")
 class MatchingResult:
-    """A perfect matching's edge indices, or a violated independent set.
-    Both are copied into tuples, so a caller's lists cannot change the
-    result later."""
+    """A perfect matching's edge indices, or a violated independent set."""
 
     has_matching: bool
     matching: tuple[int, ...] | None = None   # edge indices
     violator: VertexSet | None = None          # independent set with |A| > |N(A)|
-
-    def __post_init__(self):
-        for name in ("matching", "violator"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not tuple:  # a tuple is immutable already
-                object.__setattr__(self, name, tuple(value))
 
     def __bool__(self) -> bool:
         return self.has_matching
@@ -103,7 +87,7 @@ def integer_decompose(g: Graph, b) -> DecompositionResult:
     if isinstance(routed, Halfspace):
         return DecompositionResult(violated=routed)
     return DecompositionResult(EdgeDecomposition(
-        tuple((k, used) for k, used in enumerate(routed) if used)))
+        [(k, used) for k, used in enumerate(routed) if used]))
 
 
 def has_perfect_matching(g: Graph) -> MatchingResult:
@@ -122,4 +106,4 @@ def has_perfect_matching(g: Graph) -> MatchingResult:
     if isinstance(routed, Halfspace):
         return MatchingResult(False, violator=routed.plane.tag.vertices)
     # an edge arc carries at most the unit its source arc brings in
-    return MatchingResult(True, matching=tuple(k for k, used in enumerate(routed) if used))
+    return MatchingResult(True, matching=[k for k, used in enumerate(routed) if used])

@@ -29,12 +29,11 @@ verification, not production.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cone import Hyperplane, cone_dimension, membership
+from .cone import Hyperplane, _value, cone_dimension, membership
 from .errors import EnumerationGateError
 from .facets import facets
 from .graph import Graph, edge_vectors
@@ -206,14 +205,14 @@ def _satisfies(rows, point: Sequence[int]) -> bool:
     return all(dot(row, point) >= 0 for row in rows)
 
 
-@dataclass(frozen=True)
+@_value()
 class Check:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@_value("checks")
 class ValidationReport:
     checks: tuple[Check, ...]
 
@@ -297,4 +296,4 @@ def cross_validate(g: Graph) -> ValidationReport:
     checks.append(Check(
         "dimension", formula == rank,
         f"vertex count minus bipartite components = {formula}, rank = {rank}"))
-    return ValidationReport(tuple(checks))
+    return ValidationReport(checks)

@@ -22,8 +22,10 @@ K13 = star(3)  # leaves 0,1,2 ; center 3
 
 
 def test_hyperplane_requires_primitive_normal():
-    with pytest.raises(ValueError):
-        Hyperplane((2, 4))
+    for normal in ((2, 4), [2, 4]):  # a list is checked after its copy
+        with pytest.raises(ValueError):
+            Hyperplane(normal)
+    assert Hyperplane([1, 2]).normal == (1, 2)
     for normal in ((0, 0), (2, 0, -2), (3,), ()):
         with pytest.raises(ValueError, match="primitive"):
             Hyperplane(normal)

@@ -3,9 +3,12 @@
 The library builds its own halfspaces without the constructor checks,
 as their normals are primitive and their senses fixed by construction,
 so the checks run here instead: every halfspace a public function
-returns must equal its rebuild through the checked constructors.  The
-slotted value classes must pickle and deep-copy to equal objects with
-equal hashes, stay frozen and keep their repr.
+returns must equal its rebuild through the checked constructors.  Every
+public value and result class is built by one recipe, so one sample of
+each, library-built where the library builds it, must pickle and
+deep-copy to equal objects with equal hashes, stay frozen, have no
+``__dict__`` and keep its repr; and each class that copies a caller's
+list must keep none of it.
 
 The module needs neither pytest nor hypothesis, so it also runs as a
 plain script on interpreters that lack them:
@@ -18,12 +21,16 @@ import pickle
 from dataclasses import FrozenInstanceError
 
 from edgecone import (ComponentTag, ConeRepresentation, CoordinateTag, EdgeDecomposition,
-                      Facet, Hyperplane, IndependentSetTag, MatchingResult, facets,
-                      full_representation, independent_set_halfspace)
+                      Facet, Hyperplane, IndependentSetTag, MatchingResult,
+                      canonical_representation, cross_validate, facets,
+                      full_representation, has_perfect_matching, independent_set_halfspace,
+                      integer_decompose, membership)
+from edgecone.oracle import Check, ValidationReport
 from battery import (bipartite_battery, check_library_halfspaces, labelled_graph_failures,
-                     standard_battery, star)
+                     path, standard_battery, star)
 
 K13 = star(3)  # leaves 0,1,2 ; center 3
+P2 = path(2)
 
 
 def test_library_halfspaces_pass_the_constructor_checks():
@@ -35,9 +42,12 @@ def test_library_halfspaces_pass_the_constructor_checks():
 
 
 def slotted_samples() -> dict:
-    """One object of each slotted class, the halfspaces library-built,
-    with its repr as the classes without slots gave it."""
+    """One object of each value and result class, both outcomes of each
+    result, with its repr as the classes without slots gave it."""
     h = independent_set_halfspace(K13, (0, 1))
+    half = ("Halfspace(plane=Hyperplane(normal=(1, 1, 0, -1), "
+            "tag=IndependentSetTag(vertices=(0, 1))), sense='<=0')")
+    report = cross_validate(P2)
     return {
         CoordinateTag(3): "CoordinateTag(vertex=3)",
         IndependentSetTag((0, 1)): "IndependentSetTag(vertices=(0, 1))",
@@ -49,6 +59,29 @@ def slotted_samples() -> dict:
         facets(K13)[0]: ("Facet(halfspace=Halfspace(plane=Hyperplane("
                          "normal=(1, 0, 0, 0), tag=CoordinateTag(vertex=0)), "
                          "sense='>=0'), generators_on=(1, 2))"),
+        canonical_representation(P2): (
+            "ConeRepresentation(equations=(Hyperplane(normal=(1, -1), "
+            "tag=ComponentTag(component=0)),), halfspaces=(Halfspace(plane=Hyperplane("
+            "normal=(0, 1), tag=CoordinateTag(vertex=1)), sense='>=0'),), "
+            "kind='canonical_bipartite')"),
+        membership(K13, (1, 1, 1, 3)): "MembershipResult(is_member=True, violated=None)",
+        membership(K13, (1, 1, 0, 1)): f"MembershipResult(is_member=False, violated={half})",
+        integer_decompose(K13, (1, 1, 1, 3)).decomposition: (
+            "EdgeDecomposition(multiplicities=((0, 1), (1, 1), (2, 1)))"),
+        integer_decompose(K13, (1, 1, 1, 3)): (
+            "DecompositionResult(decomposition=EdgeDecomposition("
+            "multiplicities=((0, 1), (1, 1), (2, 1))), violated=None)"),
+        integer_decompose(K13, (1, 1, 1, 1)): (
+            f"DecompositionResult(decomposition=None, violated={half})"),
+        has_perfect_matching(P2): (
+            "MatchingResult(has_matching=True, matching=(0,), violator=None)"),
+        has_perfect_matching(K13): (
+            "MatchingResult(has_matching=False, matching=None, violator=(0, 1))"),
+        report.checks[0]: "Check(name='facets', passed=True, detail='0 facets agree')",
+        report: ("ValidationReport(checks=(Check(name='facets', passed=True, "
+                 "detail='0 facets agree'), Check(name='membership', passed=True, "
+                 "detail='52 points agree'), Check(name='dimension', passed=True, "
+                 "detail='vertex count minus bipartite components = 1, rank = 1')))"),
     }
 
 
@@ -125,6 +158,7 @@ def test_matching_result_keeps_no_caller_list():
     matching.append(1)
     violator.append(3)
     assert found.matching == (0,) and short.violator == (1, 2)
+    assert found.violator is None and short.matching is None
     assert hash(found) == hash(MatchingResult(True, (0,)))
     assert hash(short) == hash(MatchingResult(False, violator=(1, 2)))
 
@@ -135,6 +169,14 @@ def test_edge_decomposition_keeps_no_caller_list():
     pairs.append((1, 2))
     assert decomposition.multiplicities == ((0, 1),)
     assert hash(decomposition) == hash(EdgeDecomposition(((0, 1),)))
+
+
+def test_validation_report_keeps_no_caller_list():
+    checks = [Check("facets", True, "1 facets agree")]
+    report = ValidationReport(checks)
+    checks.append(Check("membership", False, "mismatch"))
+    assert report.passed and report.checks == (Check("facets", True, "1 facets agree"),)
+    assert hash(report) == hash(ValidationReport((Check("facets", True, "1 facets agree"),)))
 
 
 if __name__ == "__main__":
