@@ -35,10 +35,12 @@ def _refuse(self, name, *value):
 def _value(*sequences):
     """The recipe of every public value and result class: a slotted
     frozen dataclass whose fields named in ``sequences`` are copied into
-    tuples (``None`` and tuples are kept), so a caller's list cannot
-    change the object later.  The class's own ``__post_init__`` runs
-    after the copy and must not call ``super()``, for
-    ``dataclass(slots=True)`` rebuilds the class.  For the same reason
+    tuples, so a caller's list cannot change the object later.  Tuples
+    are kept as they are, and so is ``None`` in a field whose default is
+    ``None`` (``MatchingResult``'s ``matching`` and ``violator``); in
+    any other field ``None`` raises ``TypeError``.  The class's own
+    ``__post_init__`` runs after the copy and must not call ``super()``,
+    for ``dataclass(slots=True)`` rebuilds the class.  For the same reason
     the ``__setattr__`` it generates still names the class it replaced,
     so on CPython 3.10-3.13 a name that is no field raises ``TypeError``
     from its ``super()`` call; every assignment and deletion goes to
@@ -47,11 +49,12 @@ def _value(*sequences):
 
     def build(cls):
         check = cls.__dict__.get("__post_init__")
+        optional = {name for name in sequences if cls.__dict__.get(name, ()) is None}
 
         def __post_init__(self):
             for name in sequences:
                 value = getattr(self, name)
-                if value is not None and type(value) is not tuple:
+                if type(value) is not tuple and (value is not None or name not in optional):
                     object.__setattr__(self, name, tuple(value))
             if check:
                 check(self)
@@ -326,6 +329,10 @@ def _max_flow(adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int],
     then saturates it with a blocking flow: an iterative depth-first
     search along level-increasing arcs that keeps a current-arc pointer
     per node, so no arc is rescanned after it stops leading to the sink.
+    After each augmenting path it restarts from the source: the
+    current-arc pointers lead straight back down the path's unsaturated
+    prefix to its first saturated arc, so the paths are those of
+    resuming there.
     Unit networks such as the all-ones double cover take O(m sqrt(n))
     time (Even and Tarjan 1975).  Arcs are scanned in layout order, so
     results are deterministic.
@@ -356,12 +363,7 @@ def _max_flow(adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int],
                     cap[arc] -= pushed
                     cap[arc ^ 1] += pushed
                 total += pushed
-                # resume from the tail of the first saturated arc
-                cut = 0
-                while cap[path[cut]]:
-                    cut += 1
-                u = to[path[cut] ^ 1]
-                del path[cut:]
+                u, path = source, []
                 continue
             arcs = adj[u]
             depth = level[u] + 1

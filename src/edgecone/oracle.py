@@ -29,7 +29,6 @@ verification, not production.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from .errors import EnumerationGateError
 from .facets import facets
 from .graph import Graph, edge_vectors
 from .rational import (Rational, clear_denominators, dot, integer_kernel,
-                       integer_rref, primitive, rational_rank)
+                       integer_rref, primitive)
 
 ORACLE_MAX_GENERATORS = 24
 ORACLE_MAX_DIMENSION = 10
@@ -72,14 +71,15 @@ def _intake(generators, width: int | None = None) -> tuple[tuple[int, ...], ...]
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _double_description(generators: tuple[tuple[int, ...], ...], width: int):
-    """(facet data, membership rows) of the cone the generators span.
+    """(facet data, membership rows, rank) of the cone the generators
+    span.
 
     The facet data is the sorted (inward primitive normal, on-generator
     indices) of every facet; the rows ``r`` are every extreme ray's
     normal and each span equation with both signs, so x lies in the
     cone iff ``r . x >= 0`` for every row.  ``width`` comes from the
     caller, so generators of an edgeless graph still give the equations
-    ``x_v = 0``.
+    ``x_v = 0``.  The rank is ``d`` below, the dimension of the span.
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall
     1953; Fukuda and Prodon 1996).  ``integer_rref`` gives a basis
@@ -153,7 +153,7 @@ def _double_description(generators: tuple[tuple[int, ...], ...], width: int):
         if d > 1:  # for d = 1 the cone is a ray, and this is its apex
             found.append((normal, tuple(k for k in range(len(generators))
                                         if zero >> k & 1)))
-    return tuple(sorted(found)), tuple(rows)
+    return tuple(sorted(found)), tuple(rows), d
 
 
 def _facet_data(generators: tuple[tuple[int, ...], ...]):
@@ -225,17 +225,17 @@ def _point_battery(g: Graph, combinations: int, random_points: int, seed: int):
     points = [tuple(v) for v in edge_vectors(g)]
     rng = random.Random(seed)
     for _ in range(combinations):
-        # coefficients a/b with b in 1..4, summed in twelfths
+        # coefficients a/b with b in 1..4, summed in twelfths: 12 times the point
         twelfths = [0] * g.vertex_count
         for i, j in g.edges:
             weight = rng.randint(0, 6) * (12 // rng.randint(1, 4))
             twelfths[i] += weight
             twelfths[j] += weight
-        points.append(tuple(Fraction(t, 12) for t in twelfths))
+        points.append(tuple(twelfths))
     for _ in range(random_points):
-        points.append(tuple(
-            Fraction(rng.randint(-4, 8), rng.randint(1, 3))
-            for _ in range(g.vertex_count)))
+        # entries a/b with b in 1..3, in sixths: 6 times the point
+        points.append(tuple(rng.randint(-4, 8) * (6 // rng.randint(1, 3))
+                            for _ in range(g.vertex_count)))
     points.append((1,) * g.vertex_count)
     return points
 
@@ -252,17 +252,18 @@ def cross_validate(g: Graph) -> ValidationReport:
     is the oracle's (edges, then vertices), checked before any other
     work; it is tighter than the vertex gate of ``facets``.  The
     generators are cleared and their double description fetched once;
-    the oracle's facets and every point's verdict come from it, and
-    the rows are the facet normals plus the span's equations, so a
-    facet missing from them shows as a facet mismatch.
-    Each point is cleared once, and both paths judge the same integer
-    point: a positive rescale keeps membership.
+    the oracle's facets, every point's verdict and the rank come from
+    it, so one elimination runs per graph.  The rows are the facet
+    normals plus the span's equations, so a facet missing from them
+    shows as a facet mismatch.  The points are built as integers, each
+    a positive rescale of a rational point, which keeps membership, and
+    both paths judge the same integer point.
     """
     gens = _intake(edge_vectors(g), g.vertex_count)
     checks = []
 
     library_sets = frozenset(frozenset(f.generators_on) for f in facets(g))
-    facet_data, rows = _double_description(gens, g.vertex_count)
+    facet_data, rows, rank = _double_description(gens, g.vertex_count)
     oracle_sets = frozenset(frozenset(on) for _, on in facet_data)
     if library_sets == oracle_sets:
         detail = f"{len(oracle_sets)} facets agree"
@@ -277,9 +278,8 @@ def cross_validate(g: Graph) -> ValidationReport:
     tested = 0
     for point in _point_battery(g, _COMBINATIONS, _RANDOM_POINTS, _SEED):
         tested += 1
-        cleared = clear_denominators(point)
-        lib = membership(g, cleared).is_member
-        orc = _satisfies(rows, cleared)
+        lib = membership(g, point).is_member
+        orc = _satisfies(rows, point)
         if lib != orc:
             disagreement = (point, lib, orc)
             break
@@ -292,7 +292,6 @@ def cross_validate(g: Graph) -> ValidationReport:
     checks.append(Check("membership", disagreement is None, detail))
 
     formula = cone_dimension(g)
-    rank = rational_rank(gens)
     checks.append(Check(
         "dimension", formula == rank,
         f"vertex count minus bipartite components = {formula}, rank = {rank}"))

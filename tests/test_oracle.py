@@ -112,23 +112,30 @@ def test_oracle_outputs_are_pinned():
     """sha256 over ``repr`` of the reference Fourier-Motzkin rows and the
     oracle's facet data of the standard battery, and of the
     ``cross_validate`` reports of the connected graphs on at most 4
-    vertices.  The digests were taken before the projection dropped its
-    dead branches, and kept when the oracle moved to the double
-    description: any change to the rows, their order, the facet data
-    or the reports shows here."""
+    vertices and of the bipartite battery plus 60 seeded unions on at
+    most 10 vertices.  The first three digests were taken before the
+    projection dropped its dead branches, and kept when the oracle moved
+    to the double description; the fourth was taken while the point
+    battery was still built from ``Fraction`` entries.  Any change to
+    the rows, their order, the facet data or the reports shows here."""
     rows, data, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    wider = hashlib.sha256()
     for g in standard_battery():
         gens = edge_vectors(g)
         rows.update(repr(fourier_motzkin_rows(gens, g.vertex_count)).encode())
         data.update(repr(oracle._facet_data(gens)).encode())
     for g in connected_graphs_upto(4):
         reports.update(repr(cross_validate(g)).encode())
+    for g in bipartite_battery() + seeded_unions(60, 7, 10):
+        wider.update(repr(cross_validate(g)).encode())
     assert rows.hexdigest() == \
         "8783e8d01a12ad57c778a7de5170b66c66029c8a67bf1729340b7dd66ea93cf9"
     assert data.hexdigest() == \
         "dd5b143f0434ceb19cc5b7d8fcb0d24fe758742b869f5273e445047a8666799b"
     assert reports.hexdigest() == \
         "f86ce54a7fea9b6bd26ab8bcc0a042fda01d2d79407b09da82cd034becbdfaa1"
+    assert wider.hexdigest() == \
+        "b04ee3c52d552ce65f2bca19454adedb6f9e63f8e832c23dd701414fe3e4f7ba"
 
 
 def test_oracle_reads_fraction_generators_exactly():
@@ -273,6 +280,8 @@ def test_span_equations_are_not_facets():
 
 
 def test_point_battery_equals_fraction_combinations():
+    # the battery's integer points are 12 times the Fraction combinations
+    # and 6 times the Fraction random points
     from edgecone.oracle import _point_battery
     rng = random.Random(71)
     graphs = [TRIANGLE, K13, parse_graph("a b\nc d\nlonely")]
@@ -284,13 +293,15 @@ def test_point_battery_equals_fraction_combinations():
         for _ in range(6):
             coeffs = [Fraction(draw.randint(0, 6), draw.randint(1, 4))
                       for _ in vectors]
-            expected.append(tuple(sum(c * v[k] for c, v in zip(coeffs, vectors))
+            expected.append(tuple(12 * sum(c * v[k] for c, v in zip(coeffs, vectors))
                                   for k in range(g.vertex_count)))
         for _ in range(4):
-            expected.append(tuple(Fraction(draw.randint(-4, 8), draw.randint(1, 3))
+            expected.append(tuple(6 * Fraction(draw.randint(-4, 8), draw.randint(1, 3))
                                   for _ in range(g.vertex_count)))
         expected.append((1,) * g.vertex_count)
-        assert _point_battery(g, 6, 4, seed) == expected
+        points = _point_battery(g, 6, 4, seed)
+        assert points == expected
+        assert all(type(c) is int for point in points for c in point)
 
 
 def test_cross_validate_triangle():

@@ -8,7 +8,8 @@ public value and result class is built by one recipe, so one sample of
 each, library-built where the library builds it, must pickle and
 deep-copy to equal objects with equal hashes, stay frozen, have no
 ``__dict__`` and keep its repr; and each class that copies a caller's
-list must keep none of it.
+list must keep none of it, and refuse ``None`` in a copied field whose
+default is not ``None``.
 
 The module needs neither pytest nor hypothesis, so it also runs as a
 plain script on interpreters that lack them:
@@ -177,6 +178,26 @@ def test_validation_report_keeps_no_caller_list():
     checks.append(Check("membership", False, "mismatch"))
     assert report.passed and report.checks == (Check("facets", True, "1 facets agree"),)
     assert hash(report) == hash(ValidationReport((Check("facets", True, "1 facets agree"),)))
+
+
+# every constructor whose copied field has no ``None`` default, with that
+# field ``None``; one table, since the module runs without pytest
+NONE_FIELDS = {
+    "IndependentSetTag": lambda: IndependentSetTag(None),
+    "ConeRepresentation": lambda: ConeRepresentation(None, None, "full"),
+    "EdgeDecomposition": lambda: EdgeDecomposition(None),
+    "Facet": lambda: Facet(independent_set_halfspace(K13, (0, 1)), None),
+    "ValidationReport": lambda: ValidationReport(None),
+}
+
+
+def test_none_is_refused_where_the_default_is_not_none():
+    for name, build in NONE_FIELDS.items():
+        assert refused(build, TypeError), name
+    # the two fields whose default is None keep it
+    assert MatchingResult(True).violator is None
+    assert MatchingResult(True).matching is None
+    assert MatchingResult(False, violator=[1, 2]).matching is None
 
 
 if __name__ == "__main__":
