@@ -96,7 +96,7 @@ def _summary(text: str):
 
 
 def _run_command(args) -> tuple[dict, int, str]:
-    g = parse_graph(Path(args.path).read_text(encoding="utf-8"))
+    g = parse_graph(Path(args.path).read_text(encoding="utf-8-sig"))
     doc = {"command": args.command}
     doc.update(graph_header(g))
     exit_code = 0

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _frame,
                     bipartite_component_count, check_gate, vertex_set)
-from .rational import Rational, clear_denominators, dot, is_int, is_primitive
+from .rational import Rational, all_int, clear_denominators, dot, is_int, is_primitive
 
 SENSE_GE = ">=0"
 SENSE_LE = "<=0"
@@ -95,7 +95,8 @@ class Hyperplane:
     """Primitive integer normal plus the combinatorial origin of the
     hyperplane (``None`` for raw normals, e.g. oracle output).
 
-    The constructor checks that the normal is primitive.  Halfspaces the
+    The constructor checks that the normal is primitive, which leaves
+    only integral ``Fraction`` entries to store as ``int``.  Halfspaces the
     library builds itself skip the copy and the check (``_trusted``):
     each of their normals is a tuple with an entry 1, so it is primitive
     by construction.
@@ -107,6 +108,8 @@ class Hyperplane:
     def __post_init__(self):
         if not is_primitive(self.normal):
             raise ValueError(f"normal must be primitive and nonzero: {self.normal}")
+        if not all_int(self.normal):
+            object.__setattr__(self, "normal", tuple(map(int, self.normal)))
 
 
 @_value()

@@ -3,16 +3,16 @@
 A facet is a face of dimension one less than the cone.  A supporting
 hyperplane cuts a facet exactly when the edge vectors lying on it have
 rank ``cone_dimension - 1``; that rank criterion works for arbitrary
-graphs, and only ``face_dimension`` and ``is_facet`` take it.  The rank
-is the edge-cone dimension of the subgraph those edges form, read off
-the colouring search that builds ``Graph``, so no elimination runs
-here; only the oracle eliminates.  ``facets`` takes no rank.  For a
+graphs, and ``face_dimension`` and ``is_facet`` take it, the latter
+also for ``bipartite_facet_check`` and ``dual_facet``.  The rank is the
+edge-cone dimension of the subgraph those edges form, read off the
+colouring search that builds ``Graph``, so no elimination runs here;
+only the oracle eliminates.  ``facets`` takes no rank.  For a
 connected bipartite graph the facets are the directed bonds, and
-``facets``, ``canonical_representation``, ``remove_redundant``,
-``bipartite_facet_check`` and ``dual_facet`` read their tags off the
-bonds; the cone has a unique irreducible representation whose
-halfspaces are tagged by independent sets strictly inside side 1 plus
-coordinate halfspaces of side-2 vertices.
+``facets``, ``canonical_representation`` and ``remove_redundant`` read
+their tags off the bonds; the cone has a unique irreducible
+representation whose halfspaces are tagged by independent sets
+strictly inside side 1 plus coordinate halfspaces of side-2 vertices.
 
 Facets are identified by their generator sets (the edge indices on the
 bounding hyperplane): on the affine hull, distinct normals can cut the
@@ -41,10 +41,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .cone import (ConeRepresentation, CoordinateTag, Halfspace, Hyperplane,
                    IndependentSetTag, Tag, _set_halfspace, _value, affine_hull,
-                   cone_dimension, coordinate_halfspace)
+                   cone_dimension, coordinate_halfspace, independent_set_halfspace)
 from .errors import GraphRequirementError, NotSupportingHyperplaneError
 from .graph import (DEFAULT_MAX_VERTICES, Graph, VertexSet, _colour_search, _frame,
-                    _members, _union, check_gate, vertex_set)
+                    _members, _union, check_gate)
 
 
 @_value("generators_on")
@@ -339,39 +339,28 @@ def _sides(g: Graph) -> tuple[VertexSet, VertexSet]:
     return g.bipartitions[0]
 
 
-def _bond_half(g: Graph, a: Iterable[int]) -> tuple[VertexSet, set[int] | None]:
-    """The checked members of ``a``, an independent set strictly inside
-    side 1 of a connected bipartite graph, and the half ``S = A + N(A)``
-    if ``(S, V - S)`` is a directed bond, else ``None``.  ``N(A)`` lies
-    on side 2, so every edge between the halves runs from side 2 in
-    ``S`` to side 1 in the rest, which holds a side-1 vertex and so is
-    never empty: the split is a bond iff both halves are connected, that
-    is iff dropping the edges between them leaves two components."""
+def _side1_halfspace(g: Graph, a: Iterable[int]) -> Halfspace:
+    """``independent_set_halfspace`` of ``a``, which must lie strictly
+    inside side 1 of the connected bipartite ``g``."""
     side1 = _sides(g)[0]
-    members = vertex_set(g, a)
-    if not members:
-        raise ValueError("independent set must be nonempty")
-    half = {w for v in members for w in g.neighbors[v]}
-    if not half.isdisjoint(members):
-        raise ValueError(f"vertex set {members} is not independent")
+    h = independent_set_halfspace(g, a)
+    members = h.plane.tag.vertices
     if not set(members) < set(side1):
         raise ValueError(
             f"vertex set {members} is not strictly inside side 1 {side1}")
-    half.update(members)
-    split = [[w for w in near if (w in half) == (v in half)]
-             for v, near in enumerate(g.neighbors)]
-    return members, half if sum(1 for _ in _colour_search(split)) == 2 else None
+    return h
 
 
 def bipartite_facet_check(g: Graph, a: Iterable[int]) -> bool:
-    """Combinatorial facet test for an independent set strictly inside
-    side 1 of a connected bipartite graph.
+    """Facet test for an independent set strictly inside side 1 of a
+    connected bipartite graph: ``is_facet`` of its halfspace.
 
     The set cuts a facet iff the subgraph induced on the set plus its
     neighbors and the one induced on the remaining vertices are both
-    connected (their union always spans the graph).
+    connected (their union always spans the graph): the split is then a
+    directed bond (see ``_directed_bonds``).
     """
-    return _bond_half(g, a)[1] is not None
+    return is_facet(g, _side1_halfspace(g, a))
 
 
 def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
@@ -380,16 +369,18 @@ def dual_facet(g: Graph, a: Iterable[int]) -> Halfspace:
 
     The set and its neighbors form the half ``S`` of a directed bond
     ``(S, T)`` (see ``_directed_bonds``), and the facet is tagged by the
-    other half: ``x_v`` if ``T = {v}``, else ``T & side2``.
+    other half: ``x_v`` if ``T = {v}``, else ``T & side2``.  The normal
+    of the set is 1 on it, -1 on its neighbors and 0 on ``T``.
     """
-    members, half = _bond_half(g, a)
-    if half is None:
-        raise ValueError(f"vertex set {members} does not cut a facet")
-    rest = [v for v in range(g.vertex_count) if v not in half]
+    h = _side1_halfspace(g, a)
+    if not is_facet(g, h):
+        raise ValueError(f"vertex set {h.plane.tag.vertices} does not cut a facet")
+    normal = h.plane.normal
+    rest = [v for v, c in enumerate(normal) if not c]
     if len(rest) == 1:
         return coordinate_halfspace(g, rest[0])
     return _set_halfspace(g, IndependentSetTag(
-        [v for v in g.bipartitions[0][1] if v not in half]))
+        [v for v in g.bipartitions[0][1] if not normal[v]]))
 
 
 def _directed_bonds(masks: Sequence[int], side1: int, universe: int) -> Iterator[int]:

@@ -5,11 +5,10 @@ first-appearance order of the input document); every vector in the rest
 of the package is indexed the same way.  Graphs are immutable.  Their
 neighbor tuples, components and bipartitions are computed eagerly, the
 last two by ``_colour_search``, the one search for components and odd
-cycles over neighbor lists; the rank of a face and the bond test of
-``bipartite_facet_check`` and ``dual_facet`` run it on subgraphs.  One
-cached view is built on first use and then only read: the arcs of the
-flow network that membership, decomposition and matching route on.  So
-instances are safe to share between threads.  A vertex set is handled
+cycles over neighbor lists; the rank of a face runs it on a subgraph.
+One cached view is built on first use and then only read: the arcs of
+the flow network that membership, decomposition and matching route on.
+So instances are safe to share between threads.  A vertex set is handled
 as a bitmask over vertex indices wherever it is searched or combined;
 each walk over vertex bitmasks takes them from ``_frame`` and drops
 them when it returns.

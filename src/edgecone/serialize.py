@@ -44,6 +44,8 @@ def _parse_rational(part: str) -> Fraction:
                 or int(digits or "0") > MAX_DECIMAL_EXPONENT):
             raise ValueError(
                 f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in absolute value")
+    if "_" in part:  # Fraction reads them on 3.11+ only
+        raise ValueError("underscores are not allowed")
     try:
         return Fraction(part)
     except ZeroDivisionError:
@@ -53,7 +55,8 @@ def _parse_rational(part: str) -> Fraction:
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: "3/2,0,1" or decimals ("0.5" is
     exactly 1/2, "15e-1" is 3/2; exponents are capped at
-    ``MAX_DECIMAL_EXPONENT`` in absolute value)."""
+    ``MAX_DECIMAL_EXPONENT`` in absolute value).  Underscores are
+    refused, on every Python version."""
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise ValueError("empty vector")

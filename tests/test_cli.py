@@ -208,6 +208,12 @@ def test_parse_error_exit_2(graph_file, capsys):
     assert "line 1" in err
 
 
+def test_leading_byte_order_mark_is_not_a_label(graph_file, capsys):
+    code, out, _ = run(capsys, "dim", graph_file("\ufeffa b\nb c\n"))
+    assert code == 0
+    assert json.loads(out)["vertices"] == ["a", "b", "c"]
+
+
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "no-such-command", "x")[0] == 2
     assert run(capsys)[0] == 2

@@ -35,8 +35,10 @@ def test_hyperplane_requires_primitive_normal():
         Hyperplane((True, 0))
     for normal in ((1, 0, -1), (1,), (6, 10, -15)):
         assert Hyperplane(normal).normal == normal
-    # a Fraction equal to its primitive form passes, as it always has
-    assert Hyperplane((Fraction(1), -1)).normal == (Fraction(1), -1)
+    # a Fraction equal to its primitive form passes, stored as an int
+    normal = Hyperplane((Fraction(1), -1)).normal
+    assert normal == (Fraction(1), -1)
+    assert all(type(c) is int for c in normal)
 
 
 def test_halfspace_sense_tag_invariants():

@@ -193,6 +193,23 @@ def test_bipartite_facet_check_agrees_with_rank_criterion():
                 combinatorial = bipartite_facet_check(g, a)
                 ranked = is_facet(g, independent_set_halfspace(g, a))
                 assert combinatorial == ranked, (g.edges, a)
+    # an independent reference for both checks: the split into A + N(A)
+    # and the rest is a directed bond iff both halves are connected
+    for g in connected_graphs_upto(5) + bipartite_battery():
+        if not g.is_bipartite():
+            continue
+        side1, side2 = g.bipartitions[0]
+        for a in independent_sets(g):
+            if not set(a) < set(side1):
+                continue
+            half = set(a + neighbor_set(g, a))
+            rest = [v for v in range(g.vertex_count) if v not in half]
+            bond = _induced_connected(g, half) and _induced_connected(g, rest)
+            assert bipartite_facet_check(g, a) == bond, (g.edges, a)
+            if bond:
+                tag = (CoordinateTag(rest[0]) if len(rest) == 1
+                       else IndependentSetTag(tuple(v for v in side2 if v not in half)))
+                assert dual_facet(g, a).plane.tag == tag, (g.edges, a)
 
 
 def test_dual_facet_k23():

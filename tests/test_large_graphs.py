@@ -40,7 +40,8 @@ def test_graph_memory_is_linear():
 
 def test_bond_checks_build_no_bitmasks():
     # one bitmask per vertex would hold about 25 MB on this path; the
-    # neighbor lists of the split and the facet's normal take about 3 MB
+    # normal, the edge values on it and the neighbor lists of the
+    # on-hyperplane edges that is_facet ranks take about 3.3 MB
     g = path(20_000)
     tracemalloc.start()
     try:

@@ -16,6 +16,8 @@ def test_parse_exact_rationals_and_decimals():
         parse_rational_vector("")
     with pytest.raises(ValueError, match="bad rational vector"):
         parse_rational_vector("1,x")
+    with pytest.raises(ValueError, match="underscores"):
+        parse_rational_vector("1_000")
 
 
 def test_exponents_up_to_the_cap_are_exact():
