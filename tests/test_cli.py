@@ -1,15 +1,20 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
 import edgecone
+from edgecone import Graph, cone_dimension, facets, parse_graph
 from edgecone.cli import main
+from battery import connected_graphs_upto, seeded_unions
 
 TRIANGLE = "a b\nb c\nc a\n"
 K13 = "a\nb\nc\nd\na d\nb d\nc d\n"
@@ -249,13 +254,32 @@ def test_validate_beyond_the_oracle_gate(graph_file, capsys):
 
 
 def test_flags_only_where_they_act(graph_file, capsys):
+    # written out by hand, not read from the CLI's own table
     path = graph_file(SINGLE)
-    for argv in (("dim", path, "--max-n", "3"),
-                 ("member", path, "1,1", "--max-n", "3"),
-                 ("validate", path, "--oracle")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "unrecognized arguments" in err
+    accepts = {"dim": {"--oracle"},
+               "repr": {"--oracle", "--max-n"},
+               "canonical": {"--oracle", "--max-n"},
+               "facets": {"--oracle", "--max-n"},
+               "member": {"--oracle", "vector"},
+               "decompose": {"--oracle", "vector"},
+               "matching": {"--oracle"},
+               "validate": set()}
+    extra = {"--oracle": ["--oracle"], "--max-n": ["--max-n", "3"]}
+    for command, accepted in accepts.items():
+        vector = ["1,1"] if "vector" in accepted else []
+        code, out, err = run(capsys, command, path, *vector)
+        assert code == 0 and err == "", command
+        for flag, words in extra.items():
+            code, out, err = run(capsys, command, path, *vector, *words)
+            if flag in accepted:
+                assert code == 0 and err == "", (command, flag)
+            else:
+                assert code == 2 and out == "", (command, flag)
+                assert "unrecognized arguments" in err
+        if "vector" not in accepted:
+            code, out, err = run(capsys, command, path, "1,1")
+            assert code == 2 and out == ""
+            assert "unrecognized arguments" in err
 
 
 def test_canonical_rejects_the_empty_graph(graph_file, capsys):
@@ -329,3 +353,76 @@ def test_module_entry_point_matches_main(graph_file, capsys):
         done = subprocess.run([sys.executable, "-m", "edgecone.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (code, out)
+
+
+PINNED_FILES = {"triangle.txt": TRIANGLE, "k13.txt": K13, "single.txt": SINGLE,
+                "forest.txt": "a b\nc d\nd e\n",
+                "pendant_cycle.txt": "a b\nb c\nc d\nd e\ne a\na f\n",
+                "path7.txt": "".join(f"v{i} v{i + 1}\n" for i in range(6)),
+                "empty.txt": "", "isolated.txt": "a\n"}
+
+
+def test_outputs_are_pinned():
+    """sha256 over (argv with the file's name, exit code, stdout) of
+    every subcommand on each file above, in json and plain, with
+    ``--oracle`` wherever it is accepted, with a member and a non-member
+    vector (the degree vector and the first unit vector), and with
+    ``--max-n 3`` on the gated calls.  The digest was taken before the
+    subcommands moved into one table: any change to an output shows
+    here.  stderr and help text are left out, because error messages
+    carry temporary paths and argparse words its help differently from
+    one Python version to the next."""
+    digest, calls = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in PINNED_FILES.items():
+            path = os.path.join(directory, name)
+            Path(path).write_text(text, encoding="utf-8")
+            g = parse_graph(text)
+            degrees = [sum(v in edge for edge in g.edges) for v in range(g.vertex_count)]
+            unit = [1] + [0] * (g.vertex_count - 1)
+            member, outside = (",".join(map(str, x)) for x in (degrees, unit))
+            runs = [[command] for command in ("dim", "repr", "canonical", "facets",
+                                              "matching", "validate")]
+            runs += [[command, "--max-n", "3"] for command in ("repr", "canonical", "facets")]
+            runs += [["member", member], ["member", outside], ["decompose", member]]
+            for command, *rest in runs:
+                for fmt in ("json", "plain"):
+                    for oracle in ([[]] if command == "validate" else [[], ["--oracle"]]):
+                        argv = [command, path, *rest, "--format", fmt, *oracle]
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(io.StringIO()):
+                            code = main(argv)
+                        argv[1] = name
+                        digest.update(repr((argv, code, out.getvalue())).encode())
+                        calls += 1
+    assert calls == 368
+    assert digest.hexdigest() == \
+        "4ca054d0f82ec420cfbc1ad0ba1dac0d33bb494243d5568d6273b4a5fe9f036e"
+
+
+def edge_list_text(g: Graph) -> str:
+    """A file that parses back to ``g``: every vertex on a line of its
+    own, in order, then the edges."""
+    return "".join(f"{label}\n" for label in g.vertices) + "".join(
+        f"{g.vertices[i]} {g.vertices[j]}\n" for i, j in g.edges)
+
+
+def test_non_facet_coordinates_are_the_coordinates_cutting_no_facet(graph_file, capsys):
+    # x_v >= 0 cuts a facet iff the edges off v are the generators on
+    # one of the facets; the face it cuts is spanned by those edges, so
+    # its dimension is the cone dimension of the graph they leave
+    for g in connected_graphs_upto(5) + seeded_unions(60, 7, 10):
+        path = graph_file(edge_list_text(g))
+        assert parse_graph(Path(path).read_text(encoding="utf-8")) == g
+        code, out, _ = run(capsys, "facets", path)
+        assert code == 0
+        spans = {f.generators_on for f in facets(g)}
+        expected = []
+        for v in range(g.vertex_count):
+            off = tuple(k for k, edge in enumerate(g.edges) if v not in edge)
+            if off not in spans:
+                face = Graph(g.vertices, [g.edges[k] for k in off])
+                expected.append({"vertex": g.vertices[v],
+                                 "face_dimension": cone_dimension(face)})
+        assert json.loads(out)["non_facet_coordinates"] == expected, g
